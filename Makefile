@@ -10,11 +10,13 @@ build:
 # concurrency-sensitive, so test always re-runs them under the race detector
 # (full-tree race stays available as `make race`). internal/core additionally
 # races with the parallel threshold forced low, so the chunk fan-out in every
-# evaluation stage fires even on the small test relations.
+# evaluation stage fires even on the small test relations; internal/sql and
+# internal/expr join that run so compiled statements with and without
+# subqueries (the latter chunked, the former sequential) race too.
 test: lint
 	$(GO) test ./...
 	$(GO) test -race ./internal/obs ./internal/server ./internal/relation ./internal/core ./internal/sql ./internal/wal ./internal/engine ./internal/sqlgen ./internal/graph
-	SHEETMUSIQ_PARALLEL_THRESHOLD=4 $(GO) test -race ./internal/core ./internal/relation
+	SHEETMUSIQ_PARALLEL_THRESHOLD=4 $(GO) test -race ./internal/core ./internal/relation ./internal/sql ./internal/expr
 
 race:
 	$(GO) test -race ./...
@@ -22,9 +24,15 @@ race:
 vet:
 	$(GO) vet ./...
 
-# lint prefers staticcheck when it is on PATH and falls back to go vet, so
-# `make test` needs no network access or extra tooling to run.
+# lint fails on any file gofmt would rewrite, then prefers staticcheck when
+# it is on PATH and falls back to go vet, so `make test` needs no network
+# access or extra tooling to run.
+GOFMT_DIRS = *.go cmd examples internal perfbench
 lint:
+	@unformatted=$$(gofmt -l $(GOFMT_DIRS)); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
 	else \

@@ -50,21 +50,6 @@ type Result struct {
 	Levels []GroupLevel // the grouping specification the tree reflects
 }
 
-// rowEnv adapts one working row to the tree-walking expression evaluator.
-// It is the fallback for expressions the compiler declines; the hot paths
-// run compiled programs that index the row directly.
-type rowEnv struct {
-	schema relation.Schema
-	row    relation.Tuple
-}
-
-func (e rowEnv) Lookup(name string) (value.Value, bool) {
-	if i := e.schema.IndexOf(name); i >= 0 {
-		return e.row[i], true
-	}
-	return value.Null, false
-}
-
 // schemaResolver resolves column names to working-row positions for
 // expression compilation. Resolution happens once per expression per
 // evaluation instead of once per reference per row.
@@ -138,12 +123,9 @@ func (s *Spreadsheet) evaluate() (*Result, error) {
 	// are DAG-keyed (plan.go), so a hit at stage i is independent of
 	// whether earlier stages hit: editing one σ part leaves its siblings'
 	// fingerprints — and artifacts — intact, and only the stages whose
-	// dependency cone contains the edit recompute. firstMiss tracks what
-	// the pre-graph linear chaining would have recomputed (everything from
-	// the first changed stage onward) for the coarse-precision metric.
+	// dependency cone contains the edit recompute.
 	cache := s.snaps()
 	var cur *stageSnap
-	firstMiss := len(stages)
 	for i := range stages {
 		if art := cache.get(stages[i].fp); art != nil {
 			plan[i].Cached = true
@@ -152,28 +134,21 @@ func (s *Spreadsheet) evaluate() (*Result, error) {
 			plan[i].Rows = stageRows(cur, art)
 			continue
 		}
-		if i < firstMiss {
-			firstMiss = i
-		}
 		stageStart := time.Now()
 		art, err := stages[i].run(ev, cur)
 		if err != nil {
-			// Linear chaining would have re-run stages firstMiss..i before
-			// aborting at the same error.
-			evalStageRecomputesCoarse.Add(int64(i - firstMiss + 1))
 			s.lastPlan = &EvalPlan{Version: s.version, Stages: plan, Error: err.Error()}
 			return nil, err
 		}
 		evalStageRecomputes.Inc()
 		if art != nil { // σ parts report nil on a swallowed predicate error
 			art.fp = stages[i].fp
-			cache.put(art, stages[i].rank, stages[i].atoms)
+			cache.put(art, stages[i].atoms)
 			cur = stages[i].apply(cur, art)
 			plan[i].Rows = stageRows(cur, art)
 		}
 		plan[i].Duration = time.Since(stageStart)
 	}
-	evalStageRecomputesCoarse.Add(int64(len(stages) - firstMiss))
 	s.lastPlan = &EvalPlan{Version: s.version, Stages: plan}
 
 	// Final assembly from the last snapshot: project the visible schema

@@ -18,10 +18,13 @@ import (
 // under -race with SHEETMUSIQ_PARALLEL_THRESHOLD forced low this also
 // exercises the parallel kernels on tiny inputs.
 //
-// The same sequence also pins graph-exact invalidation's precision bound:
-// after every step, the stages actually recomputed must not exceed what
-// the pre-graph rank table (linear chaining from the first changed stage)
-// would have recomputed — stage_recomputes ≤ stage_recomputes_coarse.
+// The same sequence also pins graph-exact invalidation's precision per
+// step, in absolute terms: the evaluation's stage_recomputes delta equals
+// the number of uncached stages its Plan() reports (for an erroring
+// evaluation, those before the failing stage); no stage whose artifact the
+// previous evaluation left in the cache is recomputed (invalidation may
+// stale an entry, never drop it); and an immediate re-Evaluate recomputes
+// nothing.
 func TestIncrementalMatchesColdReplay(t *testing.T) {
 	defer func(old int) { relation.ParallelThreshold = old }(relation.ParallelThreshold)
 	relation.ParallelThreshold = 4
@@ -30,18 +33,67 @@ func TestIncrementalMatchesColdReplay(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			s := New(dataset.RandomCars(300, 100+seed))
-			rec0 := obs.Default.CounterValue("core.eval.stage_recomputes")
-			coarse0 := obs.Default.CounterValue("core.eval.stage_recomputes_coarse")
+			var prev map[uint64]bool // fingerprints the last evaluation left in the cache
 			for step := 0; step < 60; step++ {
 				op := randomOp(s, rng)
+				_, rec0 := stageCounters()
+				evals0 := obs.Default.CounterValue("core.eval.count")
 				got, gotErr := s.Evaluate()
-				want, wantErr := s.Clone().Evaluate()
-				rec := obs.Default.CounterValue("core.eval.stage_recomputes") - rec0
-				coarse := obs.Default.CounterValue("core.eval.stage_recomputes_coarse") - coarse0
-				if rec > coarse {
-					t.Fatalf("step %d after %s: %d stages recomputed, rank table would have recomputed only %d",
-						step, op, rec, coarse)
+				_, rec1 := stageCounters()
+				ran := obs.Default.CounterValue("core.eval.count") > evals0
+				if _, err := s.Evaluate(); (err == nil) != (gotErr == nil) {
+					t.Fatalf("step %d after %s: re-Evaluate err %v, first err %v", step, op, err, gotErr)
 				}
+				if _, rec2 := stageCounters(); rec2 != rec1 {
+					t.Fatalf("step %d after %s: immediate re-Evaluate recomputed %d stages", step, op, rec2-rec1)
+				}
+				if !ran {
+					// A rejected op left the version unchanged: the memo
+					// served the evaluation and the plan is the previous one.
+					if rec1 != rec0 {
+						t.Fatalf("step %d after %s: memoised evaluation recomputed %d stages", step, op, rec1-rec0)
+					}
+				} else if plan, err := s.Plan(); err != nil {
+					if gotErr == nil {
+						t.Fatal(err)
+					}
+					prev = nil // the pipeline failed to build; nothing ran
+				} else {
+					// Stages run in plan order and an erroring evaluation
+					// stops at its failing stage, so the recomputed stages
+					// are the first `recomputed` uncached ones, the next
+					// one (if any) is the one that failed, and any later
+					// ones never ran.
+					recomputed := int(rec1 - rec0)
+					attempted := recomputed
+					if gotErr != nil {
+						attempted++
+					}
+					uncached := 0
+					fps := map[uint64]bool{}
+					for _, st := range plan.Stages {
+						if !st.Cached {
+							uncached++
+							if uncached > attempted {
+								continue
+							}
+							if prev[st.Fingerprint] {
+								t.Fatalf("step %d after %s: stage %s recomputed though the previous evaluation cached its artifact",
+									step, op, st.ID)
+							}
+							if uncached > recomputed {
+								continue
+							}
+						}
+						fps[st.Fingerprint] = true
+					}
+					if uncached < recomputed || (gotErr == nil && uncached != recomputed) {
+						t.Fatalf("step %d after %s: stage_recomputes advanced by %d, plan shows %d uncached stages",
+							step, op, recomputed, uncached)
+					}
+					prev = fps
+				}
+				want, wantErr := s.Clone().Evaluate()
 				if (gotErr == nil) != (wantErr == nil) {
 					t.Fatalf("step %d after %s: incremental err %v, cold err %v", step, op, gotErr, wantErr)
 				}

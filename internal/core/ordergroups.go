@@ -33,7 +33,7 @@ func (s *Spreadsheet) OrderGroupsBy(level int, column string, dir Dir) error {
 		g.By = ""
 		g.Dir = dir
 		s.commit(before, fmt.Sprintf("λ* level %d restored to basis order %s", level, dir))
-		s.invalidateAtoms(rankOrder, "order")
+		s.invalidateAtoms("order")
 		return nil
 	}
 	if !s.hasColumn(column) {
@@ -46,7 +46,7 @@ func (s *Spreadsheet) OrderGroupsBy(level int, column string, dir Dir) error {
 	g.By = column
 	g.Dir = dir
 	s.commit(before, fmt.Sprintf("λ* groups at level %d by %s %s", level, column, dir))
-	s.invalidateAtoms(rankOrder, "order")
+	s.invalidateAtoms("order")
 	return nil
 }
 

@@ -93,7 +93,6 @@ type stageNode struct {
 	id    string   // stable node ID, shared by Plan() and Deps()
 	name  string   // display name, paper glyphs: "η AvgP d1", "σ Year >= 2003"
 	fp    uint64   // DAG-keyed content fingerprint
-	rank  int      // legacy coarse rank (for the coarse_saved metric only)
 	atoms []string // dependency-atom closure (invalidation alphabet)
 	deps  []string // direct dependency node IDs (graph edges point here → id)
 	run   func(ev *evalCtx, cur *stageSnap) (*stageArtifact, error)
@@ -445,8 +444,7 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 	rowAtoms := []string{"base"}
 	rowID := "base"
 	stages := []stageNode{{
-		kind: stageBase, id: "base", name: "base", fp: baseFP,
-		rank: rankBase(), atoms: rowAtoms,
+		kind: stageBase, id: "base", name: "base", fp: baseFP, atoms: rowAtoms,
 		run: rowArtifact(runBase), apply: applyRow,
 	}}
 
@@ -478,9 +476,9 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 			stages = append(stages, stageNode{
 				kind: stageAgg, id: id,
 				name: fmt.Sprintf("η %s d%d", c.Name, d),
-				fp:   fp, rank: rankAgg(d), atoms: atoms,
-				deps: depList(entryID, refs),
-				run:  colArtifact(runAggStage(c, colPos[ci])),
+				fp:   fp, atoms: atoms,
+				deps:  depList(entryID, refs),
+				run:   colArtifact(runAggStage(c, colPos[ci])),
 				apply: applyCol(c.Name),
 			})
 		}
@@ -522,9 +520,9 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 			stages = append(stages, stageNode{
 				kind: stageWindow, id: id,
 				name: fmt.Sprintf("ω %s d%d", c.Name, d),
-				fp:   fp, rank: rankWindow(d), atoms: atoms,
-				deps: depList(entryID, refs),
-				run:  colArtifact(runWindowStage(c, colPos[ci])),
+				fp:   fp, atoms: atoms,
+				deps:  depList(entryID, refs),
+				run:   colArtifact(runWindowStage(c, colPos[ci])),
 				apply: applyCol(c.Name),
 			})
 		}
@@ -548,9 +546,9 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 			stages = append(stages, stageNode{
 				kind: stageFormula, id: id,
 				name: fmt.Sprintf("θ %s d%d", c.Name, d),
-				fp:   fp, rank: rankFormula(d), atoms: atoms,
-				deps: depList(entryID, refs),
-				run:  colArtifact(runFormulaStage(c, colPos[ci])),
+				fp:   fp, atoms: atoms,
+				deps:  depList(entryID, refs),
+				run:   colArtifact(runFormulaStage(c, colPos[ci])),
 				apply: applyCol(c.Name),
 			})
 		}
@@ -574,7 +572,7 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 			stages = append(stages, stageNode{
 				kind: stageSelect, id: id,
 				name: fmt.Sprintf("σ %s d%d", sel.Pred.SQL(), d),
-				fp:   fp, rank: rankSelect(d), atoms: atoms,
+				fp:   fp, atoms: atoms,
 				deps:  depList(entryID, refs),
 				run:   rowArtifact(runSelectStage(sel)),
 				apply: applyRow,
@@ -597,7 +595,7 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 				stages = append(stages, stageNode{
 					kind: stageSelect, id: selAtom,
 					name: fmt.Sprintf("σ %s d%d", sel.Pred.SQL(), d),
-					fp:   fp, rank: rankSelect(d), atoms: atoms,
+					fp:   fp, atoms: atoms,
 					deps:  depList(entryID, refs),
 					run:   runSelPart(blk, i),
 					apply: applySelPart(blk, i),
@@ -608,7 +606,7 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 			stages = append(stages, stageNode{
 				kind: stageCombine, id: cid,
 				name: fmt.Sprintf("∧ %dσ d%d", len(depthSels), d),
-				fp:   cfp, rank: rankSelect(d), atoms: catoms,
+				fp:   cfp, atoms: catoms,
 				deps:  partIDs,
 				run:   runSelCombine(blk),
 				apply: applyRow,
@@ -633,7 +631,7 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 				atoms := atomUnion(append([][]string{rowAtoms}, append(refAtoms(cols), []string{"distinct"})...)...)
 				stages = append(stages, stageNode{
 					kind: stageDistinct, id: "distinct", name: "δ",
-					fp: fp, rank: rankDistinct(), atoms: atoms,
+					fp: fp, atoms: atoms,
 					deps:  depList(rowID, cols),
 					run:   rowArtifact(runDistinctStage(cols)),
 					apply: applyRow,
@@ -663,7 +661,7 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 		atoms := atomUnion(append([][]string{rowAtoms}, append(refAtoms(refs), []string{"order"})...)...)
 		stages = append(stages, stageNode{
 			kind: stageOrder, id: "order", name: "λ",
-			fp: fp, rank: rankOrder, atoms: atoms,
+			fp: fp, atoms: atoms,
 			deps:  depList(rowID, refs),
 			run:   rowArtifact(runOrderStage(keys)),
 			apply: applyRow,

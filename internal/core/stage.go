@@ -395,48 +395,34 @@ func (ev *evalCtx) runAggKernel(c *ComputedColumn, view *relation.IndexView, inP
 }
 
 // runFormulaStage computes one θ column row-locally (Def. 12) into a fresh
-// column vector, through a program compiled once against the working
-// schema. Base-only formulas evaluate straight off the base tuples; ones
-// referencing computed columns gather the full working row into a per-chunk
-// scratch buffer first.
+// column vector. A batch program writes typed lanes straight from the
+// column vectors; when it declines at compile time, or any chunk would
+// error or produce lanes of another kind, the whole fill redoes through the
+// row program compiled once against the working schema, which reproduces
+// the exact error or the dynamically typed column. Base-only formulas
+// evaluate the row program straight off the base tuples; ones referencing
+// computed columns gather the full working row into a per-chunk scratch
+// buffer first.
 func runFormulaStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (*stageSnap, error) {
 	return func(ev *evalCtx, in *stageSnap) (*stageSnap, error) {
 		if outPos < 0 {
 			return nil, fmt.Errorf("core: formula %s column missing", c.Name)
 		}
-		prog, cerr := expr.Compile(c.Formula, ev.resolve)
-		fast := cerr == nil && ev.baseOnly(c.Formula)
 		snap := in.extend()
 		nBase := ev.s.base.Len()
 		view := ev.viewOf(in)
 		n := view.Len()
-		// Vectorized path: a batch program fills each chunk's slots straight
-		// from the typed column vectors. A chunk whose window would error
-		// falls through to the row loop below, which reproduces the exact
-		// error; expressions outside vectorizer coverage decline at compile
-		// and every chunk runs the row path.
-		var bp *expr.BatchProgram
-		if cerr == nil {
-			bp, _ = expr.CompileBatch(c.Formula, ev.batchResolver(view))
-		}
-		// First attempt: raw typed output. Every chunk writes its lanes'
-		// payloads straight into the result column — nothing is boxed and
-		// nothing is converted afterwards. A chunk that would error or whose
-		// lanes disagree with the inferred kind aborts the attempt, and the
-		// whole fill redoes through the boxed path below (rare: a runtime
-		// error, or a dynamically typed result).
-		if bp != nil && n > 0 {
+		if bp, _ := expr.CompileBatch(c.Formula, ev.batchResolver(view)); bp != nil && n > 0 {
 			if out, ok := runFormulaTyped(bp, view.Idx, n, nBase, c.ResultKind); ok {
 				snap.cols = append(snap.cols, stageCol{name: c.Name, col: out})
 				snap.ownBytes = out.MemBytes()
 				return snap, nil
 			}
 		}
+		prog := expr.Compile(c.Formula, expr.Scope{Resolve: ev.resolve})
+		fast := ev.baseOnly(c.Formula)
 		vals := make([]value.Value, nBase)
 		err := relation.ForChunks(n, func(_, lo, hi int) error {
-			if bp != nil && bp.EvalInto(view.Idx, lo, hi, c.ResultKind, vals) {
-				return nil
-			}
 			var scratch relation.Tuple
 			if !fast {
 				scratch = make(relation.Tuple, ev.width)
@@ -449,11 +435,7 @@ func runFormulaStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (
 					v, err = prog.Eval(view.Rows[ri])
 				} else {
 					view.GatherRow(i, scratch)
-					if cerr == nil {
-						v, err = prog.Eval(scratch)
-					} else {
-						v, err = expr.Eval(c.Formula, rowEnv{schema: ev.work, row: scratch})
-					}
+					v, err = prog.Eval(scratch)
 				}
 				if err != nil {
 					return fmt.Errorf("core: formula %s: %w", c.Name, err)
@@ -483,7 +465,7 @@ var errTypedFillDeclined = errors.New("core: typed fill declined")
 // runFormulaTyped fills a formula column straight from the batch program's
 // typed lanes (EvalIntoCol) — no boxing, no conversion pass. ok is false
 // when the inferred kind has no payload lane or any chunk declines; the
-// caller then redoes the fill through the boxed path.
+// caller then redoes the fill through the row program.
 func runFormulaTyped(bp *expr.BatchProgram, idx []int32, n, nBase int, kind value.Kind) (*relation.Col, bool) {
 	out := &relation.Col{Kind: kind}
 	switch kind {
@@ -706,11 +688,8 @@ func runWindowStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (*
 func runSelectStage(sel Selection) func(*evalCtx, *stageSnap) (*stageSnap, error) {
 	return func(ev *evalCtx, in *stageSnap) (*stageSnap, error) {
 		view := ev.viewOf(in)
-		prog, cerr := expr.Compile(sel.Pred, ev.resolve)
-		if cerr != nil {
-			prog = nil
-		}
-		fast := prog != nil && ev.baseOnly(sel.Pred)
+		prog := expr.Compile(sel.Pred, expr.Scope{Resolve: ev.resolve})
+		fast := ev.baseOnly(sel.Pred)
 		n := view.Len()
 		dst := make([]int32, n)
 		bounds := relation.Chunks(n)
@@ -719,10 +698,7 @@ func runSelectStage(sel Selection) func(*evalCtx, *stageSnap) (*stageSnap, error
 		// into the chunk's prefix of dst directly. A chunk whose window would
 		// error falls through to the row loop, which reproduces the exact
 		// error in row order.
-		var bp *expr.BatchProgram
-		if prog != nil {
-			bp, _ = expr.CompileBatch(sel.Pred, ev.batchResolver(view))
-		}
+		bp, _ := expr.CompileBatch(sel.Pred, ev.batchResolver(view))
 		err := relation.RunChunks(bounds, func(c, lo, hi int) error {
 			if bp != nil {
 				if cnt, ok := bp.SelectInto(view.Idx, lo, hi, dst[lo:]); ok {
@@ -742,11 +718,7 @@ func runSelectStage(sel Selection) func(*evalCtx, *stageSnap) (*stageSnap, error
 					ok, err = prog.EvalBool(view.Rows[view.Idx[i]])
 				} else {
 					view.GatherRow(i, scratch)
-					if prog != nil {
-						ok, err = prog.EvalBool(scratch)
-					} else {
-						ok, err = expr.EvalBool(sel.Pred, rowEnv{schema: ev.work, row: scratch})
-					}
+					ok, err = prog.EvalBool(scratch)
 				}
 				if err != nil {
 					return fmt.Errorf("core: selection %s: %w", sel.Pred.SQL(), err)

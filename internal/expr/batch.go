@@ -14,7 +14,8 @@ import (
 // a program that evaluates a whole chunk of rows per call against typed
 // column vectors (relation.Col), instead of one boxed row at a time:
 // selections produce a surviving-index vector directly (SelectInto) and
-// formulas write a value vector (EvalInto), with comparison and arithmetic
+// formulas write typed payload lanes (EvalIntoCol) or positional values
+// (EvalPos), with comparison and arithmetic
 // running as tight loops over int64/float64/string payload arrays.
 //
 // The contract is bit-identity with the per-row Program: every value, NULL
@@ -39,7 +40,7 @@ type BatchResolver func(name string) (*relation.Col, bool)
 // fall back to the per-row Program.
 var ErrNotVectorizable = errors.New("expr: expression is not vectorizable")
 
-// Batch compile outcome counters, mirroring expr.compile.ok/declined.
+// Batch compile outcome counters: programs compiled vs. declined.
 var (
 	batchOK       = obs.Default.Counter("expr.batch.ok")
 	batchDeclined = obs.Default.Counter("expr.batch.declined")
@@ -267,43 +268,16 @@ func (p *BatchProgram) SelectInto(idx []int32, lo, hi int, dst []int32) (int, bo
 	return w, true
 }
 
-// EvalInto evaluates the program over window [lo,hi) of idx (nil =
-// identity), writing each lane's value to out at its base-row index, widened
-// to kind under the consumer's coercion rule (KindFloat widens integer
-// results; any other kind leaves values untouched). ok is false when any
-// lane would error on the row path.
-func (p *BatchProgram) EvalInto(idx []int32, lo, hi int, kind value.Kind, out []value.Value) bool {
-	idx = windowIdx(idx, lo, hi)
-	c := &bctx{rows: idx, lo: lo, n: hi - lo}
-	v := p.fn(c)
-	if anyBit(v.errs) {
-		return false
-	}
-	widen := kind == value.KindFloat
-	for k := 0; k < c.n; k++ {
-		ri := lo + k
-		if idx != nil {
-			ri = int(idx[lo+k])
-		}
-		val := v.lane(k)
-		if widen && val.Kind() == value.KindInt {
-			val = value.NewFloat(float64(val.Int()))
-		}
-		out[ri] = val
-	}
-	return true
-}
-
 // EvalIntoCol evaluates the program over window [lo,hi) of idx (nil =
 // identity), writing each lane's raw payload to out's lane array at the
 // lane's base-row index and marking the cell in filled — no value is boxed.
 // out.Kind is the expected result kind (the consumer's inferred column
 // kind) and its matching payload array must cover the base rows; integer
-// lanes widen to a float column exactly as EvalInto's coercion does. NULL
-// lanes leave filled clear. ok is false when any lane would error on the
-// row path, or when a non-NULL lane's widened kind disagrees with out.Kind
-// — callers then redo the fill through the boxed path, which reproduces
-// the exact error or the dynamically typed column.
+// lanes widen to a float column. NULL lanes leave filled clear. ok is false
+// when any lane would error on the row path, or when a non-NULL lane's
+// widened kind disagrees with out.Kind — callers then redo the fill through
+// the row program, which reproduces the exact error or the dynamically
+// typed column.
 func (p *BatchProgram) EvalIntoCol(idx []int32, lo, hi int, out *relation.Col, filled []uint8) bool {
 	idx = windowIdx(idx, lo, hi)
 	c := &bctx{rows: idx, lo: lo, n: hi - lo}
@@ -408,7 +382,8 @@ func (p *BatchProgram) EvalIntoCol(idx []int32, lo, hi int, out *relation.Col, f
 // EvalPos evaluates the program over window [lo,hi) of idx (nil =
 // identity), writing lane k's value to out[lo+k] — positional output for
 // consumers whose output rows follow window order rather than base-row
-// indexing. Widening and the failure contract match EvalInto.
+// indexing. With kind KindFloat, integer lanes widen to floats; ok is false
+// when any lane would error on the row path.
 func (p *BatchProgram) EvalPos(idx []int32, lo, hi int, kind value.Kind, out []value.Value) bool {
 	c := &bctx{rows: windowIdx(idx, lo, hi), lo: lo, n: hi - lo}
 	v := p.fn(c)

@@ -172,10 +172,7 @@ func TestBatchBitIdentityProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %s unexpectedly declined: %v", trial, e.SQL(), err)
 		}
-		rp, err := Compile(e, rowRes)
-		if err != nil {
-			t.Fatalf("trial %d: row compile of %s: %v", trial, e.SQL(), err)
-		}
+		rp := Compile(e, Scope{Resolve: rowRes})
 
 		// Row-path reference over the full window.
 		want := make([]value.Value, n)
@@ -246,7 +243,7 @@ func TestBatchBitIdentityProperty(t *testing.T) {
 
 // TestBatchBitIdentityWindowed pins the indexed-window form: evaluating a
 // sub-window of a shuffled (and duplicating) index vector must agree lane
-// for lane with the row program applied to the indexed rows, and EvalInto's
+// for lane with the row program applied to the indexed rows, and EvalPos's
 // KindFloat widening must match the row path's coerce rule.
 func TestBatchBitIdentityWindowed(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
@@ -260,10 +257,7 @@ func TestBatchBitIdentityWindowed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %s unexpectedly declined: %v", trial, e.SQL(), err)
 		}
-		rp, err := Compile(e, rowRes)
-		if err != nil {
-			t.Fatalf("trial %d: row compile: %v", trial, err)
-		}
+		rp := Compile(e, Scope{Resolve: rowRes})
 
 		m := 1 + rng.Intn(2*n)
 		idx := make([]int32, m)
@@ -369,14 +363,8 @@ func TestBatchDeclineFallsBackIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := Compile(covered, rowRes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dp, err := Compile(declined, rowRes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := Compile(covered, Scope{Resolve: rowRes})
+	dp := Compile(declined, Scope{Resolve: rowRes})
 	for i, row := range rows {
 		a, errA := cp.EvalBool(row)
 		b, errB := dp.EvalBool(row)

@@ -5,29 +5,42 @@ import (
 	"fmt"
 
 	"sheetmusiq/internal/obs"
+	"sheetmusiq/internal/relation"
 	"sheetmusiq/internal/value"
 )
 
 // This file implements expression compilation: turning a parsed tree into a
 // Program whose column references are resolved to row positions exactly
 // once. Evaluation then indexes straight into a positional row instead of
-// performing a name lookup per reference per row, which is what makes the
-// replay loop of core.Evaluate (and the SQL executor's WHERE/HAVING paths)
-// scale to large working tables.
+// performing a name lookup per reference per row. Compile is total — every
+// expression compiles, and whatever cannot succeed compiles into a node
+// that reports the error when (and only if) a row evaluates it — so the
+// Program is the one row evaluator of both core.Evaluate and the SQL
+// executor.
 
 // Resolver maps a column name to its index in the row layout a Program will
 // be evaluated against. It is consulted only at compile time.
 type Resolver func(name string) (int, bool)
 
-// ErrNotCompilable marks expressions the compiler declines: anything
-// nesting a subquery, whose evaluation needs the Env's SubqueryEvaluator
-// capability and a per-statement cache. Callers fall back to the
-// tree-walking Eval.
-var ErrNotCompilable = errors.New("expr: expression is not compilable")
+// Scope is what Compile binds an expression's names and subqueries to.
+type Scope struct {
+	// Resolve maps a column name to its position in the evaluated row.
+	Resolve Resolver
+	// Outer binds a name Resolve does not know to the enclosing scope's
+	// value. That value is a constant for the Program's lifetime: a
+	// correlated statement compiles afresh for every outer row it runs
+	// under. Nil means there is no enclosing scope.
+	Outer func(name string) (value.Value, bool)
+	// Subquery runs a nested statement with the evaluated row as its
+	// enclosing scope and returns the statement's result relation. Nil
+	// means subqueries are not supported in this context, and evaluating
+	// one reports exactly that.
+	Subquery func(sub *Subquery, row []value.Value) (*relation.Relation, error)
+}
 
 // progFn evaluates one compiled node against a positional row. Programs
 // hold no mutable state, so one Program may be evaluated from many
-// goroutines concurrently.
+// goroutines concurrently unless its Scope's Subquery hook forbids it.
 type progFn func(row []value.Value) (value.Value, error)
 
 // Program is a compiled expression bound to a fixed row layout. The
@@ -42,43 +55,31 @@ type Program struct {
 	deps []string
 }
 
-// Compile resolves every column reference of e through resolve and returns
-// a Program evaluated directly against a positional row. Names that do not
-// resolve compile into a node that reproduces Eval's unknown-column error
-// at evaluation time (so an unused dangling reference over zero rows stays
-// silent, exactly as in the interpreted path). Subqueries are refused with
-// ErrNotCompilable.
-func Compile(e Expr, resolve Resolver) (*Program, error) {
-	fn, err := compile(e, resolve)
-	if err != nil {
-		if errors.Is(err, ErrNotCompilable) {
-			compileDeclined.Inc()
-		}
-		return nil, err
-	}
+// Compile resolves every column reference of e through sc and returns a
+// Program evaluated directly against a positional row. A name neither
+// sc.Resolve nor sc.Outer binds compiles into a node that reports the
+// unknown column when evaluated, so an unused dangling reference over zero
+// rows stays silent. Subquery nodes call sc.Subquery.
+func Compile(e Expr, sc Scope) *Program {
 	compileOK.Inc()
-	return &Program{src: e, fn: fn, fp: Fingerprint(e), deps: Deps(e)}, nil
+	return &Program{src: e, fn: compile(e, &sc), fp: Fingerprint(e), deps: Deps(e)}
 }
 
-// Compile outcome counters: compileDeclined counts ErrNotCompilable
-// declines (subqueries falling back to the tree-walking interpreter), the
-// fast-path miss the metrics endpoint surfaces as expr.compile.declined.
-var (
-	compileOK       = obs.Default.Counter("expr.compile.ok")
-	compileDeclined = obs.Default.Counter("expr.compile.declined")
-)
+// compileOK counts compiled programs (expr.compile.ok).
+var compileOK = obs.Default.Counter("expr.compile.ok")
 
 // Source returns the expression the program was compiled from.
 func (p *Program) Source() Expr { return p.src }
 
-// Eval evaluates the program against a positional row, with the same SQL
-// three-valued NULL semantics as Eval.
+// Eval evaluates the program against a positional row, with SQL
+// three-valued NULL semantics: comparisons with NULL yield NULL, AND/OR/NOT
+// follow Kleene logic.
 func (p *Program) Eval(row []value.Value) (value.Value, error) {
 	return p.fn(row)
 }
 
 // EvalBool evaluates the program as a predicate; NULL (unknown) counts as
-// false, matching SQL WHERE semantics and EvalBool.
+// false, matching SQL WHERE semantics.
 func (p *Program) EvalBool(row []value.Value) (bool, error) {
 	v, err := p.fn(row)
 	if err != nil {
@@ -91,29 +92,26 @@ func (p *Program) EvalBool(row []value.Value) (bool, error) {
 	return t == value.True, nil
 }
 
-func compile(e Expr, resolve Resolver) (progFn, error) {
+func compile(e Expr, sc *Scope) progFn {
 	switch n := e.(type) {
 	case *Literal:
-		v := n.Val
-		return func([]value.Value) (value.Value, error) { return v, nil }, nil
+		return constant(n.Val)
 	case *ColumnRef:
-		i, ok := resolve(n.Name)
-		if !ok {
-			name := n.Name
-			return func([]value.Value) (value.Value, error) {
-				return value.Null, fmt.Errorf("expr: unknown column %q", name)
-			}, nil
+		if sc.Resolve != nil {
+			if i, ok := sc.Resolve(n.Name); ok {
+				return func(row []value.Value) (value.Value, error) { return row[i], nil }
+			}
 		}
-		return func(row []value.Value) (value.Value, error) { return row[i], nil }, nil
+		if sc.Outer != nil {
+			if v, ok := sc.Outer(n.Name); ok {
+				return constant(v)
+			}
+		}
+		return failing(fmt.Errorf("expr: unknown column %q", n.Name))
 	case *Star:
-		return func([]value.Value) (value.Value, error) {
-			return value.Null, fmt.Errorf("expr: * is only valid inside COUNT(*)")
-		}, nil
+		return failing(fmt.Errorf("expr: * is only valid inside COUNT(*)"))
 	case *Unary:
-		x, err := compile(n.X, resolve)
-		if err != nil {
-			return nil, err
-		}
+		x := compile(n.X, sc)
 		if n.Op == OpNeg {
 			return func(row []value.Value) (value.Value, error) {
 				v, err := x(row)
@@ -121,7 +119,7 @@ func compile(e Expr, resolve Resolver) (progFn, error) {
 					return value.Null, err
 				}
 				return value.Neg(v)
-			}, nil
+			}
 		}
 		return func(row []value.Value) (value.Value, error) {
 			v, err := x(row)
@@ -133,14 +131,11 @@ func compile(e Expr, resolve Resolver) (progFn, error) {
 				return value.Null, err
 			}
 			return t.Not().Value(), nil
-		}, nil
-	case *Binary:
-		return compileBinary(n, resolve)
-	case *IsNull:
-		x, err := compile(n.X, resolve)
-		if err != nil {
-			return nil, err
 		}
+	case *Binary:
+		return compileBinary(n, sc)
+	case *IsNull:
+		x := compile(n.X, sc)
 		negate := n.Negate
 		return func(row []value.Value) (value.Value, error) {
 			v, err := x(row)
@@ -152,22 +147,11 @@ func compile(e Expr, resolve Resolver) (progFn, error) {
 				res = !res
 			}
 			return value.NewBool(res), nil
-		}, nil
+		}
 	case *InList:
-		return compileIn(n, resolve)
+		return compileIn(n, sc)
 	case *Between:
-		x, err := compile(n.X, resolve)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := compile(n.Lo, resolve)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := compile(n.Hi, resolve)
-		if err != nil {
-			return nil, err
-		}
+		x, lo, hi := compile(n.X, sc), compile(n.Lo, sc), compile(n.Hi, sc)
 		negate := n.Negate
 		return func(row []value.Value) (value.Value, error) {
 			xv, err := x(row)
@@ -195,29 +179,71 @@ func compile(e Expr, resolve Resolver) (progFn, error) {
 				t = t.Not()
 			}
 			return t.Value(), nil
-		}, nil
+		}
 	case *FuncCall:
-		return compileFunc(n, resolve)
+		return compileFunc(n, sc)
 	case *WindowCall:
-		fn := n.Func
-		return func([]value.Value) (value.Value, error) {
-			return value.Null, fmt.Errorf("expr: window function %s not allowed in a row context", fn)
-		}, nil
-	case *Subquery, *Exists, *InSubquery:
-		return nil, ErrNotCompilable
+		return failing(fmt.Errorf("expr: window function %s not allowed in a row context", n.Func))
+	case *Subquery:
+		run := sc.subquery()
+		return func(row []value.Value) (value.Value, error) {
+			rel, err := run(n, row)
+			if err != nil {
+				return value.Null, err
+			}
+			return scalarResult(rel)
+		}
+	case *Exists:
+		run, sub, negate := sc.subquery(), n.Sub, n.Negate
+		return func(row []value.Value) (value.Value, error) {
+			rel, err := run(sub, row)
+			if err != nil {
+				return value.Null, err
+			}
+			return existsResult(rel, negate), nil
+		}
+	case *InSubquery:
+		x, run, sub, negate := compile(n.X, sc), sc.subquery(), n.Sub, n.Negate
+		return func(row []value.Value) (value.Value, error) {
+			xv, err := x(row)
+			if err != nil {
+				return value.Null, err
+			}
+			rel, err := run(sub, row)
+			if err != nil {
+				return value.Null, err
+			}
+			return inResult(xv, rel, negate)
+		}
 	}
-	return nil, fmt.Errorf("expr: cannot compile %T", e)
+	return failing(fmt.Errorf("expr: cannot evaluate %T", e))
 }
 
-func compileBinary(n *Binary, resolve Resolver) (progFn, error) {
-	l, err := compile(n.L, resolve)
-	if err != nil {
-		return nil, err
+// constant compiles a node whose value does not depend on the row.
+func constant(v value.Value) progFn {
+	return func([]value.Value) (value.Value, error) { return v, nil }
+}
+
+// failing compiles a node that reports err whenever a row evaluates it.
+func failing(err error) progFn {
+	return func([]value.Value) (value.Value, error) { return value.Null, err }
+}
+
+// subquery returns the scope's subquery hook, or one reporting that the
+// context supports none.
+func (sc *Scope) subquery() func(*Subquery, []value.Value) (*relation.Relation, error) {
+	if sc.Subquery != nil {
+		return sc.Subquery
 	}
-	r, err := compile(n.R, resolve)
-	if err != nil {
-		return nil, err
+	return func(*Subquery, []value.Value) (*relation.Relation, error) {
+		return nil, errNoSubqueries
 	}
+}
+
+var errNoSubqueries = errors.New("expr: subqueries are not supported in this context")
+
+func compileBinary(n *Binary, sc *Scope) progFn {
+	l, r := compile(n.L, sc), compile(n.R, sc)
 	switch n.Op {
 	case OpAnd, OpOr:
 		isAnd := n.Op == OpAnd
@@ -249,7 +275,7 @@ func compileBinary(n *Binary, resolve Resolver) (progFn, error) {
 				return lt.And(rt).Value(), nil
 			}
 			return lt.Or(rt).Value(), nil
-		}, nil
+		}
 	case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpConcat:
 		var arith func(a, b value.Value) (value.Value, error)
 		switch n.Op {
@@ -276,7 +302,7 @@ func compileBinary(n *Binary, resolve Resolver) (progFn, error) {
 				return value.Null, err
 			}
 			return arith(lv, rv)
-		}, nil
+		}
 	case OpLike:
 		return func(row []value.Value) (value.Value, error) {
 			lv, err := l(row)
@@ -287,14 +313,8 @@ func compileBinary(n *Binary, resolve Resolver) (progFn, error) {
 			if err != nil {
 				return value.Null, err
 			}
-			if lv.IsNull() || rv.IsNull() {
-				return value.Null, nil
-			}
-			if lv.Kind() != value.KindString || rv.Kind() != value.KindString {
-				return value.Null, fmt.Errorf("expr: LIKE requires strings, got %s and %s", lv.Kind(), rv.Kind())
-			}
-			return value.NewBool(likeMatch(lv.Str(), rv.Str())), nil
-		}, nil
+			return like(lv, rv)
+		}
 	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
 		op := n.Op
 		return func(row []value.Value) (value.Value, error) {
@@ -311,22 +331,16 @@ func compileBinary(n *Binary, resolve Resolver) (progFn, error) {
 				return value.Null, err
 			}
 			return t.Value(), nil
-		}, nil
+		}
 	}
-	return nil, fmt.Errorf("expr: unknown operator %q", n.Op)
+	return failing(fmt.Errorf("expr: unknown operator %q", n.Op))
 }
 
-func compileIn(n *InList, resolve Resolver) (progFn, error) {
-	x, err := compile(n.X, resolve)
-	if err != nil {
-		return nil, err
-	}
+func compileIn(n *InList, sc *Scope) progFn {
+	x := compile(n.X, sc)
 	items := make([]progFn, len(n.Items))
 	for i, it := range n.Items {
-		items[i], err = compile(it, resolve)
-		if err != nil {
-			return nil, err
-		}
+		items[i] = compile(it, sc)
 	}
 	negate := n.Negate
 	return func(row []value.Value) (value.Value, error) {
@@ -334,56 +348,17 @@ func compileIn(n *InList, resolve Resolver) (progFn, error) {
 		if err != nil {
 			return value.Null, err
 		}
-		sawNull := xv.IsNull()
-		found := false
-		for _, it := range items {
-			v, err := it(row)
-			if err != nil {
-				return value.Null, err
-			}
-			if v.IsNull() || xv.IsNull() {
-				sawNull = true
-				continue
-			}
-			t, err := compare(xv, v, OpEq)
-			if err != nil {
-				return value.Null, err
-			}
-			if t == value.True {
-				found = true
-				break
-			}
-		}
-		var t value.Truth
-		switch {
-		case found:
-			t = value.True
-		case sawNull:
-			t = value.Unknown
-		default:
-			t = value.False
-		}
-		if negate {
-			t = t.Not()
-		}
-		return t.Value(), nil
-	}, nil
+		return memberOf(xv, len(items), func(i int) (value.Value, error) { return items[i](row) }, negate)
+	}
 }
 
-func compileFunc(n *FuncCall, resolve Resolver) (progFn, error) {
+func compileFunc(n *FuncCall, sc *Scope) progFn {
 	if AggregateNames[n.Name] {
-		name := n.Name
-		return func([]value.Value) (value.Value, error) {
-			return value.Null, fmt.Errorf("expr: aggregate %s not allowed in a row context", name)
-		}, nil
+		return failing(fmt.Errorf("expr: aggregate %s not allowed in a row context", n.Name))
 	}
 	args := make([]progFn, len(n.Args))
-	var err error
 	for i, a := range n.Args {
-		args[i], err = compile(a, resolve)
-		if err != nil {
-			return nil, err
-		}
+		args[i] = compile(a, sc)
 	}
 	name := n.Name
 	return func(row []value.Value) (value.Value, error) {
@@ -396,5 +371,5 @@ func compileFunc(n *FuncCall, resolve Resolver) (progFn, error) {
 			vals[i] = v
 		}
 		return CallScalar(name, vals)
-	}, nil
+	}
 }

@@ -35,10 +35,7 @@ func TestProgramDepsMatchesSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Compile(e, func(string) (int, bool) { return 0, true })
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := Compile(e, Scope{Resolve: func(string) (int, bool) { return 0, true }})
 	want := Deps(e)
 	got := p.Deps()
 	if !reflect.DeepEqual(got, want) {

@@ -4,8 +4,15 @@ import (
 	"fmt"
 	"strings"
 
+	"sheetmusiq/internal/relation"
 	"sheetmusiq/internal/value"
 )
+
+// This file is the tree-walking interpreter of the expression language,
+// kept as a test oracle: the compile and batch suites check the production
+// evaluators against it. It evaluates through the same shared semantics
+// (semantics.go) as the compiled Program, but resolves every column by
+// name through an Env on every row.
 
 // Env resolves column references during evaluation.
 type Env interface {
@@ -178,13 +185,7 @@ func evalBinary(n *Binary, env Env) (value.Value, error) {
 	case OpConcat:
 		return value.Concat(l, r)
 	case OpLike:
-		if l.IsNull() || r.IsNull() {
-			return value.Null, nil
-		}
-		if l.Kind() != value.KindString || r.Kind() != value.KindString {
-			return value.Null, fmt.Errorf("expr: LIKE requires strings, got %s and %s", l.Kind(), r.Kind())
-		}
-		return value.NewBool(likeMatch(l.Str(), r.Str())), nil
+		return like(l, r)
 	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
 		t, err := compare(l, r, n.Op)
 		if err != nil {
@@ -195,100 +196,68 @@ func evalBinary(n *Binary, env Env) (value.Value, error) {
 	return value.Null, fmt.Errorf("expr: unknown operator %q", n.Op)
 }
 
-func compare(l, r value.Value, op BinaryOp) (value.Truth, error) {
-	if l.IsNull() || r.IsNull() {
-		return value.Unknown, nil
-	}
-	c, err := value.Compare(l, r)
-	if err != nil {
-		return value.False, err
-	}
-	var ok bool
-	switch op {
-	case OpEq:
-		ok = c == 0
-	case OpNe:
-		ok = c != 0
-	case OpLt:
-		ok = c < 0
-	case OpLe:
-		ok = c <= 0
-	case OpGt:
-		ok = c > 0
-	case OpGe:
-		ok = c >= 0
-	}
-	if ok {
-		return value.True, nil
-	}
-	return value.False, nil
-}
-
 func evalIn(n *InList, env Env) (value.Value, error) {
 	x, err := Eval(n.X, env)
 	if err != nil {
 		return value.Null, err
 	}
-	sawNull := x.IsNull()
-	found := false
-	for _, it := range n.Items {
-		v, err := Eval(it, env)
-		if err != nil {
-			return value.Null, err
-		}
-		if v.IsNull() || x.IsNull() {
-			sawNull = true
-			continue
-		}
-		t, err := compare(x, v, OpEq)
-		if err != nil {
-			return value.Null, err
-		}
-		if t == value.True {
-			found = true
-			break
-		}
-	}
-	var t value.Truth
-	switch {
-	case found:
-		t = value.True
-	case sawNull:
-		t = value.Unknown
-	default:
-		t = value.False
-	}
-	if n.Negate {
-		t = t.Not()
-	}
-	return t.Value(), nil
+	return memberOf(x, len(n.Items), func(i int) (value.Value, error) { return Eval(n.Items[i], env) }, n.Negate)
 }
 
-// likeMatch implements SQL LIKE with % (any run) and _ (any single char),
-// matched case-sensitively over bytes.
-func likeMatch(s, pattern string) bool {
-	// Dynamic-programming match; patterns are short in practice.
-	si, pi := 0, 0
-	starS, starP := -1, -1
-	for si < len(s) {
-		switch {
-		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
-			si++
-			pi++
-		case pi < len(pattern) && pattern[pi] == '%':
-			starP = pi
-			starS = si
-			pi++
-		case starP >= 0:
-			starS++
-			si = starS
-			pi = starP + 1
-		default:
-			return false
+func evalFunc(f *FuncCall, env Env) (value.Value, error) {
+	if AggregateNames[f.Name] {
+		return value.Null, fmt.Errorf("expr: aggregate %s not allowed in a row context", f.Name)
+	}
+	args := make([]value.Value, len(f.Args))
+	for i, a := range f.Args {
+		v, err := Eval(a, env)
+		if err != nil {
+			return value.Null, err
 		}
+		args[i] = v
 	}
-	for pi < len(pattern) && pattern[pi] == '%' {
-		pi++
+	return CallScalar(f.Name, args)
+}
+
+// SubqueryEvaluator is the optional Env capability that executes a nested
+// statement in the current row's scope and returns its result relation.
+type SubqueryEvaluator interface {
+	EvalSubquery(sub *Subquery) (*relation.Relation, error)
+}
+
+// evalSubqueryRelation runs the subquery through the Env's capability.
+func evalSubqueryRelation(sub *Subquery, env Env) (*relation.Relation, error) {
+	se, ok := env.(SubqueryEvaluator)
+	if !ok {
+		return nil, errNoSubqueries
 	}
-	return pi == len(pattern)
+	return se.EvalSubquery(sub)
+}
+
+func evalScalarSubquery(sub *Subquery, env Env) (value.Value, error) {
+	rel, err := evalSubqueryRelation(sub, env)
+	if err != nil {
+		return value.Null, err
+	}
+	return scalarResult(rel)
+}
+
+func evalExists(e *Exists, env Env) (value.Value, error) {
+	rel, err := evalSubqueryRelation(e.Sub, env)
+	if err != nil {
+		return value.Null, err
+	}
+	return existsResult(rel, e.Negate), nil
+}
+
+func evalInSubquery(n *InSubquery, env Env) (value.Value, error) {
+	x, err := Eval(n.X, env)
+	if err != nil {
+		return value.Null, err
+	}
+	rel, err := evalSubqueryRelation(n.Sub, env)
+	if err != nil {
+		return value.Null, err
+	}
+	return inResult(x, rel, n.Negate)
 }

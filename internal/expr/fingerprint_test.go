@@ -91,7 +91,7 @@ func TestProgramFingerprintMatchesSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Compile(e, func(name string) (int, bool) {
+	p := Compile(e, Scope{Resolve: func(name string) (int, bool) {
 		switch name {
 		case "Price":
 			return 0, true
@@ -99,10 +99,7 @@ func TestProgramFingerprintMatchesSource(t *testing.T) {
 			return 1, true
 		}
 		return 0, false
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}})
 	if p.Fingerprint() != Fingerprint(e) {
 		t.Fatal("Program.Fingerprint must equal the source expression's fingerprint")
 	}

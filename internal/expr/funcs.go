@@ -32,21 +32,6 @@ func ContainsAggregate(e Expr) bool {
 	return found
 }
 
-func evalFunc(f *FuncCall, env Env) (value.Value, error) {
-	if AggregateNames[f.Name] {
-		return value.Null, fmt.Errorf("expr: aggregate %s not allowed in a row context", f.Name)
-	}
-	args := make([]value.Value, len(f.Args))
-	for i, a := range f.Args {
-		v, err := Eval(a, env)
-		if err != nil {
-			return value.Null, err
-		}
-		args[i] = v
-	}
-	return CallScalar(f.Name, args)
-}
-
 func arity(name string, args []value.Value, n int) error {
 	if len(args) != n {
 		return fmt.Errorf("expr: %s expects %d argument(s), got %d", name, n, len(args))

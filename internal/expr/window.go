@@ -14,8 +14,8 @@ import (
 // frame]). The expression layer parses, prints, checks and fingerprints the
 // node; actually computing a window needs the whole column — the SQL
 // executor and the algebra's window stage lift WindowCall nodes out before
-// row evaluation, so Eval/Compile reject them exactly as they reject bare
-// aggregates.
+// row evaluation, so a compiled row program rejects them exactly as it
+// rejects bare aggregates.
 //
 // OVER and its clause words (PARTITION, ROWS, PRECEDING, ...) are not
 // lexer keywords: they only carry meaning immediately after a call's closing

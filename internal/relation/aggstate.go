@@ -504,7 +504,7 @@ func (t *distinctTable) update(gids []int32, lo, hi int) {
 
 func (t *distinctTable) add(gid, cell int32, h uint64) {
 	// The probe seed folds the group in so one table serves every group.
-	p := value.Mix64(h ^ uint64(uint32(gid))*0x9e3779b97f4a7c15) & t.mask
+	p := value.Mix64(h^uint64(uint32(gid))*0x9e3779b97f4a7c15) & t.mask
 	for {
 		sl := t.slots[p]
 		if sl == 0 {

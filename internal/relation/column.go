@@ -358,8 +358,8 @@ type colState struct {
 	colBuilt  bool // constructed columnar; Rows is derived
 	nrows     int  // row count for colBuilt relations
 	cols      []*Col
-	colsReady bool // cols valid
-	rowsReady bool // Rows valid for a colBuilt relation
+	colsReady bool          // cols valid
+	rowsReady bool          // Rows valid for a colBuilt relation
 	fill      func() []*Col // deferred column assembly (FromColumnsLazy)
 	ix        *NameIndex
 }

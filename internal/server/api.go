@@ -96,8 +96,8 @@ func NewHandler(m *Manager) http.Handler {
 		var req createRequest
 		// Every createRequest field is optional, so a bodiless POST (plain
 		// `curl -X POST`) creates an anonymous session rather than 400ing.
-		if err := decodeBody(r, &req); err != nil && !errors.Is(err, io.EOF) {
-			writeError(w, r, http.StatusBadRequest, err)
+		if err := decodeBody(w, r, &req); err != nil && !errors.Is(err, io.EOF) {
+			writeError(w, r, bodyStatus(err), err)
 			return
 		}
 		s, err := m.Create(req.Name)
@@ -122,8 +122,8 @@ func NewHandler(m *Manager) http.Handler {
 
 	handle("POST /v1/sessions/{id}/op", "op", withSession(m, func(w http.ResponseWriter, r *http.Request, s *Session) {
 		var op engine.Op
-		if err := decodeBody(r, &op); err != nil {
-			writeError(w, r, http.StatusBadRequest, err)
+		if err := decodeBody(w, r, &op); err != nil {
+			writeError(w, r, bodyStatus(err), err)
 			return
 		}
 		if op.TouchesFilesystem() && !m.cfg.AllowFilesystem {
@@ -303,14 +303,35 @@ func opStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// decodeBody strictly decodes one JSON value.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds every request body. An op is a few hundred bytes;
+// the largest legitimate body is a compile op's SQL text.
+const maxBodyBytes = 1 << 20
+
+// decodeBody strictly decodes one JSON value of at most maxBodyBytes,
+// followed by nothing but whitespace.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
-	return nil
+	var extra json.RawMessage
+	switch err := dec.Decode(&extra); {
+	case err == io.EOF:
+		return nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	return errors.New("bad request body: unexpected data after the JSON value")
+}
+
+// bodyStatus is the status for a decodeBody error: 413 past the size
+// bound, 400 otherwise.
+func bodyStatus(err error) int {
+	if errors.As(err, new(*http.MaxBytesError)) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -351,6 +351,43 @@ func TestServerCreateEmptyBody(t *testing.T) {
 	}
 }
 
+// postRaw posts a raw body to path and returns the status code.
+func (c *client) postRaw(path, body string) int {
+	c.t.Helper()
+	resp, err := http.Post(c.base+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestServerRejectsTrailingBody checks that an op body must be exactly one
+// JSON value: data after it is a 400 and nothing is applied.
+func TestServerRejectsTrailingBody(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	id := c.create("")
+	if code := c.postRaw("/v1/sessions/"+id+"/op", `{"op":"demo","table":"cars"}{"op":"drop"}`); code != http.StatusBadRequest {
+		t.Fatalf("trailing value: status %d, want %d", code, http.StatusBadRequest)
+	}
+	if code := c.do("GET", "/v1/sessions/"+id+"/render", nil, nil); code != http.StatusConflict {
+		t.Fatalf("render after rejected op: status %d, want %d (no sheet)", code, http.StatusConflict)
+	}
+	if code := c.postRaw("/v1/sessions/"+id+"/op", "{\"op\":\"demo\",\"table\":\"cars\"}\n\t "); code != http.StatusOK {
+		t.Fatalf("trailing whitespace: status %d, want %d", code, http.StatusOK)
+	}
+}
+
+// TestServerBodyLimit checks that a body past the size bound is a 413.
+func TestServerBodyLimit(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	id := c.create("")
+	body := `{"op":"select","predicate":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	if code := c.postRaw("/v1/sessions/"+id+"/op", body); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want %d", code, http.StatusRequestEntityTooLarge)
+	}
+}
+
 // TestManagerCloseDoesNotBlockOnBusySession pins the non-blocking close
 // contract: closing (or evicting) a session whose engine is mid-op must not
 // wait for the op — otherwise one slow query would hold the manager mutex

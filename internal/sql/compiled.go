@@ -11,38 +11,23 @@ import (
 	"sheetmusiq/internal/value"
 )
 
-// Executor-path metrics, one increment per statement: which of the two
-// output loops ran compiled vs. fell back to the rowEnv interpreter, and
-// how often chunked aggregate accumulation was kept sequential because the
-// merge would not be bit-identical (relation.MergeExact).
+// Executor-path metrics, one increment per statement: which output loop
+// ran, and how often chunked aggregate accumulation was kept sequential
+// because the merge would not be bit-identical (relation.MergeExact).
 var (
-	execPlainCompiled      = obs.Default.Counter("sql.exec.plain_compiled")
-	execPlainInterpreted   = obs.Default.Counter("sql.exec.plain_interpreted")
-	execGroupedCompiled    = obs.Default.Counter("sql.exec.grouped_compiled")
-	execGroupedInterpreted = obs.Default.Counter("sql.exec.grouped_interpreted")
-	execMergeFallback      = obs.Default.Counter("sql.exec.merge_fallback")
+	execPlainCompiled   = obs.Default.Counter("sql.exec.plain_compiled")
+	execGroupedCompiled = obs.Default.Counter("sql.exec.grouped_compiled")
+	execMergeFallback   = obs.Default.Counter("sql.exec.merge_fallback")
 )
 
-// This file holds the compiled, data-parallel fast paths of the executor.
-// Each statement compiles its row expressions once — WHERE predicates,
-// GROUP BY keys, aggregate arguments, HAVING, select items and ORDER BY
-// keys — so the per-row work is a closure call over a positional tuple
-// instead of a name lookup per column reference, and then chunks the row
-// (or group) range with relation.RunChunks. The fast path engages only when
-// it is provably equivalent to the interpreted one:
-//
-//   - no enclosing row scope (outer-correlated names cannot be resolved to
-//     a fixed index at compile time), and
-//   - no subqueries (the per-statement subquery cache memoises through a
-//     shared map and is not goroutine-safe).
-//
-// Anything else falls back to the existing rowEnv interpreter, unchanged.
-
-// compileSafe reports whether e may take the compiled fast path in this
-// scope.
-func compileSafe(e expr.Expr, outer expr.Env) bool {
-	return outer == nil && !expr.ContainsSubquery(e)
-}
+// This file holds the executor's output loops. Each statement execution
+// compiles its row expressions once — WHERE predicates, GROUP BY keys,
+// aggregate arguments, HAVING, select items and ORDER BY keys — in its own
+// scope (stmtExec.compile), so the per-row work is a closure call over a
+// positional tuple, and then chunks the row (or group) range. Chunks run in
+// parallel unless the statement nests a subquery: the per-statement
+// subquery memo and the DB's run counter are not goroutine-safe, so such a
+// statement runs its chunks in order on one goroutine (stmtExec.chunks).
 
 // srcResolver resolves names against the source's qualified row layout.
 func srcResolver(src *source) expr.Resolver {
@@ -53,19 +38,6 @@ func srcResolver(src *source) expr.Resolver {
 		}
 		return i, true
 	}
-}
-
-// compileOn compiles e against the source row layout, or returns nil when
-// the fast path is unavailable and the caller must interpret.
-func compileOn(src *source, e expr.Expr, outer expr.Env) *expr.Program {
-	if e == nil || !compileSafe(e, outer) {
-		return nil
-	}
-	p, err := expr.Compile(e, srcResolver(src))
-	if err != nil {
-		return nil
-	}
-	return p
 }
 
 // aggSlot parses a lifted-aggregate placeholder name ("__agg_3") into its
@@ -83,8 +55,8 @@ func aggSlot(name string) (int, bool) {
 }
 
 // extResolver resolves names against the extended grouped row layout: the
-// source columns followed by one slot per lifted aggregate. It mirrors
-// rowEnv.Lookup's precedence, where the synthetic aggregate bindings win.
+// source columns followed by one slot per lifted aggregate, where the
+// synthetic aggregate bindings win.
 func extResolver(src *source, nAggs int) expr.Resolver {
 	n := len(src.rel.Schema)
 	return func(name string) (int, bool) {
@@ -98,69 +70,33 @@ func extResolver(src *source, nAggs int) expr.Resolver {
 	}
 }
 
-// filterRows applies a compiled WHERE over the rows, chunked above the
-// threshold. Unlike the core path, the rows belong to a registered base
-// table and cannot be compacted in place: each chunk keeps its survivors in
-// a local slice and the chunks concatenate in order, reproducing the
-// sequential multiset order exactly.
-func filterRows(rows []relation.Tuple, prog *expr.Program) ([]relation.Tuple, error) {
-	bounds := relation.Chunks(len(rows))
-	parts := make([][]relation.Tuple, len(bounds))
-	err := relation.RunChunks(bounds, func(c, lo, hi int) error {
-		kept := make([]relation.Tuple, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			ok, err := prog.EvalBool(rows[i])
-			if err != nil {
-				return err
-			}
-			if ok {
-				kept = append(kept, rows[i])
-			}
-		}
-		parts[c] = kept
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(parts) == 1 {
-		return parts[0], nil
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]relation.Tuple, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out, nil
-}
-
-// filterRowsTyped is filterRows with the vectorized fast path in front:
-// when the rows align with the source's typed columns and the predicate
-// batch-compiles, each chunk's survivors come from a batch selection over
-// the column vectors — no boxed row is touched — and the surviving base-row
-// indexes are returned alongside for downstream batch programs. A chunk
-// whose window would error falls back to the row program, which reproduces
-// the exact error; so does the whole pass when the predicate declines.
-func filterRowsTyped(src *source, pred expr.Expr, rows []relation.Tuple, prog *expr.Program, aligned bool) ([]relation.Tuple, []int32, error) {
+// filterRows applies the WHERE predicate over the source rows, which are
+// the full source row set in base-row order. Each chunk compacts its
+// survivors' positions into its own prefix of a fresh index vector and the
+// kept runs concatenate in chunk order, reproducing the sequential multiset
+// order exactly; the rows belong to a registered base table, so they are
+// never compacted in place. When the rows align with the source's typed
+// columns and the predicate batch-compiles, each chunk's survivors come
+// from a batch selection over the column vectors; a chunk whose window
+// would error re-runs through the row program, which reproduces the exact
+// error. The surviving base-row indexes are returned beside the rows for
+// downstream batch programs.
+func (x *stmtExec) filterRows(src *source, pred expr.Expr, rows []relation.Tuple, aligned bool) ([]relation.Tuple, []int32, error) {
+	prog := x.compile(pred, srcResolver(src))
 	var bp *expr.BatchProgram
 	if aligned {
 		bp, _ = expr.CompileBatch(pred, src.batchResolve)
 	}
-	if bp == nil {
-		kept, err := filterRows(rows, prog)
-		return kept, nil, err
-	}
 	n := len(rows)
 	dst := make([]int32, n)
-	bounds := relation.Chunks(n)
+	bounds := x.chunks(n)
 	counts := make([]int, len(bounds))
 	err := relation.RunChunks(bounds, func(c, lo, hi int) error {
-		if cnt, ok := bp.SelectInto(nil, lo, hi, dst[lo:]); ok {
-			counts[c] = cnt
-			return nil
+		if bp != nil {
+			if cnt, ok := bp.SelectInto(nil, lo, hi, dst[lo:]); ok {
+				counts[c] = cnt
+				return nil
+			}
 		}
 		w := lo
 		for i := lo; i < hi; i++ {
@@ -203,10 +139,10 @@ type orderRef struct {
 	prog   *expr.Program
 }
 
-// compileOrderRefs compiles the ORDER BY keys, resolving output aliases
-// first exactly as orderKeys does. The bool is false when any key needs the
-// interpreter.
-func compileOrderRefs(orderBy []OrderItem, schema relation.Schema, outer expr.Env, compileExpr func(expr.Expr) *expr.Program) ([]orderRef, bool) {
+// compileOrderRefs compiles the ORDER BY keys. A bare name that is an
+// output column resolves against the produced tuple; anything else
+// compiles against the evaluation row layout.
+func (x *stmtExec) compileOrderRefs(orderBy []OrderItem, schema relation.Schema, resolve expr.Resolver) []orderRef {
 	refs := make([]orderRef, len(orderBy))
 	for i, o := range orderBy {
 		if c, ok := o.Expr.(*expr.ColumnRef); ok {
@@ -215,13 +151,9 @@ func compileOrderRefs(orderBy []OrderItem, schema relation.Schema, outer expr.En
 				continue
 			}
 		}
-		p := compileExpr(o.Expr)
-		if p == nil {
-			return nil, false
-		}
-		refs[i] = orderRef{outCol: -1, prog: p}
+		refs[i] = orderRef{outCol: -1, prog: x.compile(o.Expr, resolve)}
 	}
-	return refs, true
+	return refs
 }
 
 // evalOrderRefs produces one row's sort keys from the compiled refs.
@@ -244,31 +176,24 @@ func evalOrderRefs(refs []orderRef, tuple relation.Tuple, row []value.Value) ([]
 	return keys, nil
 }
 
-// compiledPlain is the compiled, parallel variant of execPlain: every item
-// and ORDER BY key compiled once, output slots pre-sized so chunks write
-// disjoint indexes. When the rows still align with the source's typed
-// columns (idx holds their base-row indexes; nil means identity) and every
-// item batch-compiles, the items fill positional value vectors straight
-// from the column payloads; a chunk whose window would error re-runs
-// through the row programs, which reproduce the exact error. The bool
-// reports whether the fast path ran.
-func compiledPlain(src *source, stmt *SelectStmt, items []SelectItem, schema relation.Schema, rows []relation.Tuple, outer expr.Env, idx []int32, aligned bool) (*relation.Relation, [][]value.Value, bool, error) {
+// plainOutput is execPlain's output loop: every item and ORDER BY key
+// compiled once, output slots pre-sized so chunks write disjoint indexes.
+// When the rows still align with the source's typed columns (idx holds
+// their base-row indexes; nil means identity) and every item
+// batch-compiles, the items fill positional value vectors straight from the
+// column payloads; a chunk whose window would error re-runs through the row
+// programs, which reproduce the exact error.
+func (x *stmtExec) plainOutput(src *source, stmt *SelectStmt, items []SelectItem, schema relation.Schema, rows []relation.Tuple, idx []int32, aligned bool) (*relation.Relation, [][]value.Value, error) {
+	resolve := srcResolver(src)
 	itemProgs := make([]*expr.Program, len(items))
 	for i, it := range items {
-		if itemProgs[i] = compileOn(src, it.Expr, outer); itemProgs[i] == nil {
-			return nil, nil, false, nil
-		}
+		itemProgs[i] = x.compile(it.Expr, resolve)
 	}
 	out := relation.New("result", schema)
-	refs, ok := compileOrderRefs(stmt.OrderBy, out.Schema, outer, func(e expr.Expr) *expr.Program {
-		return compileOn(src, e, outer)
-	})
-	if !ok {
-		return nil, nil, false, nil
-	}
+	refs := x.compileOrderRefs(stmt.OrderBy, out.Schema, resolve)
 	var bps []*expr.BatchProgram
 	var itemVals [][]value.Value
-	if aligned && outer == nil {
+	if aligned {
 		bps = make([]*expr.BatchProgram, len(items))
 		for i, it := range items {
 			if bps[i], _ = expr.CompileBatch(it.Expr, src.batchResolve); bps[i] == nil {
@@ -285,7 +210,7 @@ func compiledPlain(src *source, stmt *SelectStmt, items []SelectItem, schema rel
 	}
 	out.Rows = make([]relation.Tuple, len(rows))
 	sortVals := make([][]value.Value, len(rows))
-	err := relation.ForChunks(len(rows), func(_, lo, hi int) error {
+	err := x.forChunks(len(rows), func(_, lo, hi int) error {
 		if bps != nil {
 			ok := true
 			for i := range bps {
@@ -330,9 +255,9 @@ func compiledPlain(src *source, stmt *SelectStmt, items []SelectItem, schema rel
 		return nil
 	})
 	if err != nil {
-		return nil, nil, true, err
+		return nil, nil, err
 	}
-	return out, sortVals, true, nil
+	return out, sortVals, nil
 }
 
 // rowGroup is one GROUP BY partition in first-appearance order.
@@ -342,15 +267,13 @@ type rowGroup struct {
 }
 
 // buildRowGroups partitions the filtered rows by the GROUP BY expression
-// values. When the keys compile, the per-row key tuples are computed in
-// parallel chunks and grouped by the batch hash kernel (first-appearance
-// order preserved); otherwise keys evaluate sequentially (tree-walking
-// fallback, possibly with subqueries) into an incremental hash table. An
-// aggregate query without GROUP BY yields one group even over empty input.
-// The returned Grouping (non-nil when the fast paths ran) maps each row of
-// rows to its group ID, groups[g] holding the rows of ID g; the typed
-// aggregate kernel in compiledGroupOutput consumes it directly.
-func buildRowGroups(db *DB, src *source, stmt *SelectStmt, rows []relation.Tuple, outer expr.Env, subs map[*expr.Subquery]*subState) ([]*rowGroup, *relation.Grouping, error) {
+// values: the per-row key tuples are computed in chunks and grouped by the
+// batch hash kernel, first-appearance order preserved. An aggregate query
+// without GROUP BY yields one group even over empty input. The returned
+// Grouping maps each row of rows to its group ID, groups[g] holding the
+// rows of ID g; the typed aggregate kernel in groupOutput consumes it
+// directly.
+func (x *stmtExec) buildRowGroups(src *source, stmt *SelectStmt, rows []relation.Tuple) ([]*rowGroup, *relation.Grouping, error) {
 	nG := len(stmt.GroupBy)
 	if nG == 0 {
 		// Ungrouped aggregate: one group holding every row, even over empty
@@ -359,65 +282,40 @@ func buildRowGroups(db *DB, src *source, stmt *SelectStmt, rows []relation.Tuple
 		return []*rowGroup{{rows: rows}}, gr, nil
 	}
 	progs := make([]*expr.Program, nG)
-	compiled := true
 	for i, g := range stmt.GroupBy {
-		if progs[i] = compileOn(src, g, outer); progs[i] == nil {
-			compiled = false
-			break
-		}
+		progs[i] = x.compile(g, srcResolver(src))
 	}
-	if compiled {
-		keyVals := make([]relation.Tuple, len(rows))
-		err := relation.ForChunks(len(rows), func(_, lo, hi int) error {
-			for ri := lo; ri < hi; ri++ {
-				key := make(relation.Tuple, nG)
-				for i, p := range progs {
-					v, err := p.Eval(rows[ri])
-					if err != nil {
-						return err
-					}
-					key[i] = v
+	keyVals := make([]relation.Tuple, len(rows))
+	err := x.forChunks(len(rows), func(_, lo, hi int) error {
+		for ri := lo; ri < hi; ri++ {
+			key := make(relation.Tuple, nG)
+			for i, p := range progs {
+				v, err := p.Eval(rows[ri])
+				if err != nil {
+					return err
 				}
-				keyVals[ri] = key
+				key[i] = v
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
+			keyVals[ri] = key
 		}
-		gr := relation.GroupRowsOn(keyVals, nil)
-		counts := make([]int, gr.NumGroups())
-		for _, gid := range gr.IDs {
-			counts[gid]++
-		}
-		groups := make([]*rowGroup, gr.NumGroups())
-		for g, ri := range gr.First {
-			groups[g] = &rowGroup{key: keyVals[ri], rows: make([]relation.Tuple, 0, counts[g])}
-		}
-		for ri, gid := range gr.IDs {
-			groups[gid].rows = append(groups[gid].rows, rows[ri])
-		}
-		return groups, gr, nil
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	table := relation.NewGrouper(nil, len(rows)/4+1)
-	var groups []*rowGroup
-	for _, row := range rows {
-		env := rowEnv{src: src, row: row, db: db, outer: outer, subs: subs}
-		key := make(relation.Tuple, nG)
-		for i, g := range stmt.GroupBy {
-			v, err := expr.Eval(g, env)
-			if err != nil {
-				return nil, nil, err
-			}
-			key[i] = v
-		}
-		gid, fresh := table.Add(key)
-		if fresh {
-			groups = append(groups, &rowGroup{key: key})
-		}
-		groups[gid].rows = append(groups[gid].rows, row)
+	gr := relation.GroupRowsOn(keyVals, nil)
+	counts := make([]int, gr.NumGroups())
+	for _, gid := range gr.IDs {
+		counts[gid]++
 	}
-	return groups, nil, nil
+	groups := make([]*rowGroup, gr.NumGroups())
+	for g, ri := range gr.First {
+		groups[g] = &rowGroup{key: keyVals[ri], rows: make([]relation.Tuple, 0, counts[g])}
+	}
+	for ri, gid := range gr.IDs {
+		groups[gid].rows = append(groups[gid].rows, rows[ri])
+	}
+	return groups, gr, nil
 }
 
 // accumulateGroup computes every lifted aggregate over one group's rows. A
@@ -482,33 +380,22 @@ func accumulateGroup(aggs []liftedAgg, aggProgs []*expr.Program, rows []relation
 	return results, nil
 }
 
-// compiledGroupOutput is the compiled, parallel variant of execGrouped's
-// output loop. Aggregate arguments compile against the source layout;
-// HAVING, items and ORDER BY keys compile against the extended layout of
-// source columns plus one slot per lifted aggregate. Groups process in
-// parallel chunks (chunk-local outputs concatenated in chunk order); the
-// single-group case chunks the aggregate accumulation instead. The bool
-// reports whether the fast path ran.
+// groupOutput is execGrouped's output loop. Aggregate arguments compile
+// against the source layout; HAVING, items and ORDER BY keys compile
+// against the extended layout of source columns plus one slot per lifted
+// aggregate. Groups process in chunks (chunk-local outputs concatenated in
+// chunk order); the single-group case chunks the aggregate accumulation
+// instead.
 //
-// When gr is non-nil, the rows still align with the source's typed columns
-// (idx holds their base-row indexes; nil means identity) and every lifted
-// aggregate's argument is a plain column reference (or COUNT(*)), the
-// aggregates compute up front through the typed grouped-aggregation kernel —
-// all groups at once over the column payloads — and the per-group loop only
+// When the rows still align with the source's typed columns (idx holds
+// their base-row indexes; nil means identity) and every lifted aggregate's
+// argument is a plain column reference (or COUNT(*)), the aggregates
+// compute up front through the typed grouped-aggregation kernel — all
+// groups at once over the column payloads — and the per-group loop only
 // reads the results.
-func compiledGroupOutput(src *source, groups []*rowGroup, gr *relation.Grouping, aggs []liftedAgg, items []SelectItem, having expr.Expr, orderBy []OrderItem, schema relation.Schema, outer expr.Env, idx []int32, aligned bool, nRows int) (*relation.Relation, [][]value.Value, bool, error) {
+func (x *stmtExec) groupOutput(src *source, groups []*rowGroup, gr *relation.Grouping, aggs []liftedAgg, items []SelectItem, having expr.Expr, orderBy []OrderItem, schema relation.Schema, idx []int32, aligned bool, nRows int) (*relation.Relation, [][]value.Value, error) {
 	nSrc := len(src.rel.Schema)
-	res := extResolver(src, len(aggs))
-	compileExt := func(e expr.Expr) *expr.Program {
-		if !compileSafe(e, outer) {
-			return nil
-		}
-		p, err := expr.Compile(e, res)
-		if err != nil {
-			return nil
-		}
-		return p
-	}
+	ext := extResolver(src, len(aggs))
 	aggProgs := make([]*expr.Program, len(aggs))
 	chunkSafe := true
 	kindOf := func(name string) (value.Kind, bool) {
@@ -522,9 +409,7 @@ func compiledGroupOutput(src *source, groups []*rowGroup, gr *relation.Grouping,
 		if a.star {
 			continue
 		}
-		if aggProgs[i] = compileOn(src, a.arg, outer); aggProgs[i] == nil {
-			return nil, nil, false, nil
-		}
+		aggProgs[i] = x.compile(a.arg, srcResolver(src))
 		// Chunked accumulation must be bit-identical to the sequential
 		// scan; float-stream summing is not (addition re-associates), so
 		// any such aggregate keeps the whole pass sequential.
@@ -542,7 +427,7 @@ func compiledGroupOutput(src *source, groups []*rowGroup, gr *relation.Grouping,
 	// at once. The engagement is all-or-nothing so the boxed per-group loop
 	// below stays the single fallback.
 	var aggResults [][]value.Value // [agg][group]
-	if gr != nil && aligned && outer == nil && len(aggs) > 0 {
+	if aligned && len(aggs) > 0 {
 		typedOK := true
 		cols := make([]*relation.Col, len(aggs))
 		for i, a := range aggs {
@@ -568,7 +453,7 @@ func compiledGroupOutput(src *source, groups []*rowGroup, gr *relation.Grouping,
 						aggResults = nil
 						break
 					}
-					return nil, nil, true, err
+					return nil, nil, err
 				}
 				aggResults[i] = res
 			}
@@ -576,29 +461,22 @@ func compiledGroupOutput(src *source, groups []*rowGroup, gr *relation.Grouping,
 	}
 	var havingProg *expr.Program
 	if having != nil {
-		if havingProg = compileExt(having); havingProg == nil {
-			return nil, nil, false, nil
-		}
+		havingProg = x.compile(having, ext)
 	}
 	itemProgs := make([]*expr.Program, len(items))
 	for i, it := range items {
-		if itemProgs[i] = compileExt(it.Expr); itemProgs[i] == nil {
-			return nil, nil, false, nil
-		}
+		itemProgs[i] = x.compile(it.Expr, ext)
 	}
 	out := relation.New("result", schema)
-	refs, ok := compileOrderRefs(orderBy, out.Schema, outer, compileExt)
-	if !ok {
-		return nil, nil, false, nil
-	}
+	refs := x.compileOrderRefs(orderBy, out.Schema, ext)
 
 	type part struct {
 		rows []relation.Tuple
 		keys [][]value.Value
 	}
-	bounds := relation.Chunks(len(groups))
+	bounds := x.chunks(len(groups))
 	parts := make([]part, len(bounds))
-	chunkRows := len(groups) == 1 && chunkSafe
+	chunkRows := len(groups) == 1 && chunkSafe && !x.seq
 	err := relation.RunChunks(bounds, func(c, lo, hi int) error {
 		p := &parts[c]
 		for gi := lo; gi < hi; gi++ {
@@ -618,13 +496,13 @@ func compiledGroupOutput(src *source, groups []*rowGroup, gr *relation.Grouping,
 			}
 			// Extended row: a representative source row (all NULL for the
 			// empty ungrouped group) followed by the aggregate results.
-			ext := make(relation.Tuple, nSrc+len(aggs))
+			row := make(relation.Tuple, nSrc+len(aggs))
 			if len(grp.rows) > 0 {
-				copy(ext, grp.rows[0])
+				copy(row, grp.rows[0])
 			}
-			copy(ext[nSrc:], results)
+			copy(row[nSrc:], results)
 			if havingProg != nil {
-				ok, err := havingProg.EvalBool(ext)
+				ok, err := havingProg.EvalBool(row)
 				if err != nil {
 					return err
 				}
@@ -634,13 +512,13 @@ func compiledGroupOutput(src *source, groups []*rowGroup, gr *relation.Grouping,
 			}
 			tuple := make(relation.Tuple, len(items))
 			for i, ip := range itemProgs {
-				v, err := ip.Eval(ext)
+				v, err := ip.Eval(row)
 				if err != nil {
 					return err
 				}
 				tuple[i] = widen(v, schema[i].Kind)
 			}
-			keys, err := evalOrderRefs(refs, tuple, ext)
+			keys, err := evalOrderRefs(refs, tuple, row)
 			if err != nil {
 				return err
 			}
@@ -650,12 +528,12 @@ func compiledGroupOutput(src *source, groups []*rowGroup, gr *relation.Grouping,
 		return nil
 	})
 	if err != nil {
-		return nil, nil, true, err
+		return nil, nil, err
 	}
 	sortVals := make([][]value.Value, 0, len(groups))
 	for _, p := range parts {
 		out.Rows = append(out.Rows, p.rows...)
 		sortVals = append(sortVals, p.keys...)
 	}
-	return out, sortVals, true, nil
+	return out, sortVals, nil
 }

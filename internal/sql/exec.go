@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -56,24 +57,17 @@ func (db *DB) Query(src string) (*relation.Relation, error) {
 
 // Exec executes a parsed statement.
 func (db *DB) Exec(stmt *SelectStmt) (*relation.Relation, error) {
-	return db.execOuter(stmt, nil)
-}
-
-// execOuter executes a statement with an optional enclosing row scope, the
-// mechanism behind correlated subqueries: names that do not resolve in the
-// statement's own FROM sources fall back to the outer row.
-func (db *DB) execOuter(stmt *SelectStmt, outer expr.Env) (*relation.Relation, error) {
 	filters, residual := db.pushdown(stmt)
-	src, err := db.evalFromFiltered(stmt.From, filters, outer)
+	src, err := db.evalFromFiltered(stmt.From, filters)
 	if err != nil {
 		return nil, err
 	}
 	if len(filters) > 0 {
 		reduced := *stmt
 		reduced.Where = residual
-		return execOn(db, src, &reduced, outer)
+		return execOn(db, src, &reduced, nil)
 	}
-	return execOn(db, src, stmt, outer)
+	return execOn(db, src, stmt, nil)
 }
 
 // source is the FROM result: a relation whose columns carry fully qualified
@@ -121,18 +115,81 @@ func (s *source) resolve(name string) (int, error) {
 	return found, nil
 }
 
-// rowEnv evaluates expressions over one source row. It also carries the
-// database and the enclosing row scope so nested subqueries can execute
-// (correlated names resolve innermost-first, then walk outward), plus the
-// per-statement subquery cache.
-type rowEnv struct {
-	src *source
-	row relation.Tuple
-	// extra binds synthetic columns (precomputed aggregates).
-	extra map[string]value.Value
+// scope is one enclosing row of a nested statement: the layout the
+// enclosing program resolves names through, the row it is evaluating, and
+// the scope around that. Correlated names resolve innermost-first, then
+// walk outward.
+type scope struct {
+	resolve expr.Resolver
+	row     []value.Value
+	outer   *scope
+}
+
+// lookup binds a name through the scope chain; a nil scope binds nothing.
+func (sc *scope) lookup(name string) (value.Value, bool) {
+	for ; sc != nil; sc = sc.outer {
+		if i, ok := sc.resolve(name); ok {
+			return sc.row[i], true
+		}
+	}
+	return value.Null, false
+}
+
+// stmtExec is one execution of a SELECT body: the database, the enclosing
+// row scope (nil at top level), and the subquery memo, which lives exactly
+// as long as the execution. seq is set when the statement nests a
+// subquery: the memo and the DB's run counter are not goroutine-safe, so
+// its chunks run in order on one goroutine.
+type stmtExec struct {
 	db    *DB
-	outer expr.Env
+	outer *scope
 	subs  map[*expr.Subquery]*subState
+	seq   bool
+}
+
+// compile compiles e against one of the statement's row layouts. Names the
+// layout does not resolve bind to the enclosing scope, and subqueries run
+// through the memo with the evaluated row as their enclosing scope.
+func (x *stmtExec) compile(e expr.Expr, resolve expr.Resolver) *expr.Program {
+	return expr.Compile(e, expr.Scope{
+		Resolve: resolve,
+		Outer:   x.outer.lookup,
+		Subquery: func(sub *expr.Subquery, row []value.Value) (*relation.Relation, error) {
+			return x.subquery(sub, &scope{resolve: resolve, row: row, outer: x.outer})
+		},
+	})
+}
+
+// chunks splits n rows (or groups) for the output loops: relation.Chunks,
+// or one chunk when the statement must run sequentially.
+func (x *stmtExec) chunks(n int) [][2]int {
+	if x.seq && n > 0 {
+		return [][2]int{{0, n}}
+	}
+	return relation.Chunks(n)
+}
+
+func (x *stmtExec) forChunks(n int, fn func(chunk, lo, hi int) error) error {
+	return relation.RunChunks(x.chunks(n), fn)
+}
+
+// hasSubquery reports whether any expression of the statement body nests a
+// subquery (FROM-clause subqueries are separate statements).
+func hasSubquery(stmt *SelectStmt) bool {
+	exprs := []expr.Expr{stmt.Where, stmt.Having}
+	for _, it := range stmt.Items {
+		exprs = append(exprs, it.Expr)
+	}
+	exprs = append(exprs, stmt.GroupBy...)
+	for _, o := range stmt.OrderBy {
+		exprs = append(exprs, o.Expr)
+	}
+	for _, e := range exprs {
+		if e != nil && expr.ContainsSubquery(e) {
+			return true
+		}
+	}
+	return false
 }
 
 // subState memoises one subquery node for the lifetime of the enclosing
@@ -148,56 +205,33 @@ type subState struct {
 	disable  bool // nested subqueries inside: correlation keys could span scopes
 }
 
-func (e rowEnv) Lookup(name string) (value.Value, bool) {
-	if e.extra != nil {
-		if v, ok := e.extra[strings.ToLower(name)]; ok {
-			return v, true
-		}
-	}
-	if i, err := e.src.resolve(name); err == nil {
-		return e.row[i], true
-	}
-	if e.outer != nil {
-		return e.outer.Lookup(name)
-	}
-	return value.Null, false
-}
-
-// EvalSubquery implements expr.SubqueryEvaluator: the nested statement runs
-// with this row as its enclosing scope, memoised per distinct correlation
-// key.
-func (e rowEnv) EvalSubquery(sub *expr.Subquery) (*relation.Relation, error) {
+// subquery runs a nested statement with sc as its enclosing scope,
+// memoised per distinct correlation key.
+func (x *stmtExec) subquery(sub *expr.Subquery, sc *scope) (*relation.Relation, error) {
 	stmt, ok := sub.Stmt.(*SelectStmt)
 	if !ok {
 		return nil, fmt.Errorf("sql: malformed subquery node")
 	}
-	if e.db == nil {
-		return nil, fmt.Errorf("sql: subqueries are not supported in this context")
-	}
-	if e.subs == nil {
-		e.db.subqueryRuns++
-		return e.db.execOuter(stmt, e)
-	}
-	st := e.subs[sub]
+	st := x.subs[sub]
 	if st == nil {
-		src, err := e.db.evalFrom(stmt.From)
+		src, err := x.db.evalFrom(stmt.From)
 		if err != nil {
 			return nil, err
 		}
 		st = &subState{src: src, cache: map[string]*relation.Relation{}}
 		st.freeVars, st.disable = freeVars(stmt, src)
-		e.subs[sub] = st
+		x.subs[sub] = st
 	}
 	if st.disable {
-		e.db.subqueryRuns++
-		return execOn(e.db, st.src, stmt, e)
+		x.db.subqueryRuns++
+		return execOn(x.db, st.src, stmt, sc)
 	}
 	var kb strings.Builder
 	for _, name := range st.freeVars {
-		v, ok := e.Lookup(name)
+		v, ok := sc.lookup(name)
 		if !ok {
 			// Unresolvable name: let execution surface the real error.
-			return execOn(e.db, st.src, stmt, e)
+			return execOn(x.db, st.src, stmt, sc)
 		}
 		kb.WriteString(v.Key())
 		kb.WriteByte('\x1f')
@@ -206,8 +240,8 @@ func (e rowEnv) EvalSubquery(sub *expr.Subquery) (*relation.Relation, error) {
 	if res, ok := st.cache[key]; ok {
 		return res, nil
 	}
-	e.db.subqueryRuns++
-	res, err := execOn(e.db, st.src, stmt, e)
+	x.db.subqueryRuns++
+	res, err := execOn(x.db, st.src, stmt, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -265,12 +299,12 @@ func freeVars(stmt *SelectStmt, src *source) (vars []string, disable bool) {
 
 // evalFrom materialises a FROM tree into a qualified-name relation.
 func (db *DB) evalFrom(f FromItem) (*source, error) {
-	return db.evalFromFiltered(f, nil, nil)
+	return db.evalFromFiltered(f, nil)
 }
 
 // evalFromFiltered materialises a FROM tree, applying any pushed-down
 // per-alias filters as each source appears.
-func (db *DB) evalFromFiltered(f FromItem, filters map[string][]expr.Expr, outer expr.Env) (*source, error) {
+func (db *DB) evalFromFiltered(f FromItem, filters map[string][]expr.Expr) (*source, error) {
 	switch t := f.(type) {
 	case *TableRef:
 		base, ok := db.Table(t.Name)
@@ -282,7 +316,7 @@ func (db *DB) evalFromFiltered(f FromItem, filters map[string][]expr.Expr, outer
 			alias = t.Name
 		}
 		src := qualify(base, alias)
-		if err := applyFilter(db, src, filters[strings.ToLower(alias)], outer); err != nil {
+		if err := applyFilter(src, filters[strings.ToLower(alias)]); err != nil {
 			return nil, err
 		}
 		return src, nil
@@ -292,16 +326,16 @@ func (db *DB) evalFromFiltered(f FromItem, filters map[string][]expr.Expr, outer
 			return nil, err
 		}
 		src := qualify(inner, t.Alias)
-		if err := applyFilter(db, src, filters[strings.ToLower(t.Alias)], outer); err != nil {
+		if err := applyFilter(src, filters[strings.ToLower(t.Alias)]); err != nil {
 			return nil, err
 		}
 		return src, nil
 	case *JoinRef:
-		left, err := db.evalFromFiltered(t.Left, filters, outer)
+		left, err := db.evalFromFiltered(t.Left, filters)
 		if err != nil {
 			return nil, err
 		}
-		right, err := db.evalFromFiltered(t.Right, filters, outer)
+		right, err := db.evalFromFiltered(t.Right, filters)
 		if err != nil {
 			return nil, err
 		}
@@ -342,9 +376,9 @@ func typedCols(rel *relation.Relation) []*relation.Col {
 // joinSources computes left ⋈ right: the equi-hash-join kernel when the ON
 // clause carries equality conjuncts, a scratch-row nested loop otherwise.
 // Either way matched rows land in one flat backing array; the full product
-// row set is never allocated. The ON predicate cannot run subqueries (its
-// row env has no database handle), so it is pure and the kernel's parallel
-// candidate probe is safe.
+// row set is never allocated. The ON predicate sees neither an enclosing
+// scope nor subqueries, so it is pure and the kernel's parallel candidate
+// probe is safe.
 func joinSources(left, right *source, on expr.Expr) (*source, error) {
 	schema := append(left.rel.Schema.Clone(), right.rel.Schema.Clone()...)
 	seen := map[string]bool{}
@@ -357,8 +391,10 @@ func joinSources(left, right *source, on expr.Expr) (*source, error) {
 	}
 	out := relation.New(left.rel.Name+"_"+right.rel.Name, schema)
 	probe := &source{rel: out}
-	onFn := func(row relation.Tuple) (bool, error) {
-		return evalOn(probe, row, on)
+	onFn := func(relation.Tuple) (bool, error) { return true, nil }
+	if on != nil {
+		prog := expr.Compile(on, expr.Scope{Resolve: srcResolver(probe), Subquery: noSubqueries})
+		onFn = func(row relation.Tuple) (bool, error) { return prog.EvalBool(row) }
 	}
 
 	// Try to extract an equality conjunct usable as a hash-join key. Source
@@ -394,12 +430,12 @@ func joinSources(left, right *source, on expr.Expr) (*source, error) {
 	return probe, nil
 }
 
-func evalOn(probe *source, row relation.Tuple, on expr.Expr) (bool, error) {
-	if on == nil {
-		return true, nil
-	}
-	return expr.EvalBool(on, rowEnv{src: probe, row: row})
+// noSubqueries is the subquery hook of contexts that support none.
+func noSubqueries(*expr.Subquery, []value.Value) (*relation.Relation, error) {
+	return nil, errNoSubqueries
 }
+
+var errNoSubqueries = errors.New("sql: subqueries are not supported in this context")
 
 // hashKeys extracts column-index pairs for top-level AND-ed equality
 // conjuncts of the form leftCol = rightCol.
@@ -447,10 +483,10 @@ func hashKeys(left, right *source, on expr.Expr) (lk, rk []int) {
 	return lk, rk
 }
 
-// execOn runs the SELECT body against a materialised source.
-func execOn(db *DB, src *source, stmt *SelectStmt, outer expr.Env) (*relation.Relation, error) {
-	// The subquery cache lives for this statement execution.
-	subs := map[*expr.Subquery]*subState{}
+// execOn runs the SELECT body against a materialised source, with outer as
+// the enclosing row scope of a correlated subquery (nil at top level).
+func execOn(db *DB, src *source, stmt *SelectStmt, outer *scope) (*relation.Relation, error) {
+	x := &stmtExec{db: db, outer: outer, subs: map[*expr.Subquery]*subState{}, seq: hasSubquery(stmt)}
 	// WHERE. rows starts as the full source row set, aligned with the
 	// source's typed columns; idx tracks the surviving base-row indexes so
 	// downstream batch programs keep reading the typed vectors through the
@@ -465,26 +501,9 @@ func execOn(db *DB, src *source, stmt *SelectStmt, outer expr.Env) (*relation.Re
 		if expr.ContainsWindow(stmt.Where) {
 			return nil, fmt.Errorf("sql: window functions are not allowed in WHERE")
 		}
-		if prog := compileOn(src, stmt.Where, outer); prog != nil {
-			kept, keptIdx, err := filterRowsTyped(src, stmt.Where, rows, prog, aligned)
-			if err != nil {
-				return nil, err
-			}
-			rows, idx = kept, keptIdx
-			aligned = aligned && idx != nil
-		} else {
-			kept := make([]relation.Tuple, 0, len(rows))
-			for _, row := range rows {
-				ok, err := expr.EvalBool(stmt.Where, rowEnv{src: src, row: row, db: db, outer: outer, subs: subs})
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					kept = append(kept, row)
-				}
-			}
-			rows = kept
-			aligned = false
+		var err error
+		if rows, idx, err = x.filterRows(src, stmt.Where, rows, aligned); err != nil {
+			return nil, err
 		}
 	}
 
@@ -494,7 +513,7 @@ func execOn(db *DB, src *source, stmt *SelectStmt, outer expr.Env) (*relation.Re
 			return nil, fmt.Errorf("sql: window functions cannot be combined with GROUP BY, HAVING or aggregates")
 		}
 		var werr error
-		src, rows, stmt, werr = applyWindows(db, src, stmt, rows, outer, subs, idx, aligned)
+		src, rows, stmt, werr = x.applyWindows(src, stmt, rows, idx, aligned)
 		if werr != nil {
 			return nil, werr
 		}
@@ -504,9 +523,9 @@ func execOn(db *DB, src *source, stmt *SelectStmt, outer expr.Env) (*relation.Re
 	var sortVals [][]value.Value
 	var err error
 	if grouped {
-		out, sortVals, err = execGrouped(db, src, stmt, rows, outer, subs, idx, aligned)
+		out, sortVals, err = x.execGrouped(src, stmt, rows, idx, aligned)
 	} else {
-		out, sortVals, err = execPlain(db, src, stmt, rows, outer, subs, idx, aligned)
+		out, sortVals, err = x.execPlain(src, stmt, rows, idx, aligned)
 	}
 	if err != nil {
 		return nil, err
@@ -548,7 +567,7 @@ func hasAggregates(stmt *SelectStmt) bool {
 // execPlain projects without grouping. It returns the output relation plus,
 // for each row, the evaluated ORDER BY key values. idx, when aligned, holds
 // the surviving base-row indexes of rows for the typed-column fast path.
-func execPlain(db *DB, src *source, stmt *SelectStmt, rows []relation.Tuple, outer expr.Env, subs map[*expr.Subquery]*subState, idx []int32, aligned bool) (*relation.Relation, [][]value.Value, error) {
+func (x *stmtExec) execPlain(src *source, stmt *SelectStmt, rows []relation.Tuple, idx []int32, aligned bool) (*relation.Relation, [][]value.Value, error) {
 	items, err := expandStars(src, stmt.Items)
 	if err != nil {
 		return nil, nil, err
@@ -557,48 +576,22 @@ func execPlain(db *DB, src *source, stmt *SelectStmt, rows []relation.Tuple, out
 	if err != nil {
 		return nil, nil, err
 	}
-	if out, sortVals, handled, err := compiledPlain(src, stmt, items, schema, rows, outer, idx, aligned); handled {
-		execPlainCompiled.Inc()
-		if err != nil {
-			return nil, nil, err
-		}
-		return out, sortVals, nil
-	}
-	execPlainInterpreted.Inc()
-	out := relation.New("result", schema)
-	sortVals := make([][]value.Value, 0, len(rows))
-	for _, row := range rows {
-		env := rowEnv{src: src, row: row, db: db, outer: outer, subs: subs}
-		tuple := make(relation.Tuple, len(items))
-		for i, it := range items {
-			v, err := expr.Eval(it.Expr, env)
-			if err != nil {
-				return nil, nil, err
-			}
-			tuple[i] = widen(v, schema[i].Kind)
-		}
-		out.Rows = append(out.Rows, tuple)
-		keys, err := orderKeys(stmt.OrderBy, env, out, tuple, items)
-		if err != nil {
-			return nil, nil, err
-		}
-		sortVals = append(sortVals, keys)
-	}
-	return out, sortVals, nil
+	execPlainCompiled.Inc()
+	return x.plainOutput(src, stmt, items, schema, rows, idx, aligned)
 }
 
 // execGrouped evaluates GROUP BY / aggregate queries. idx, when aligned,
 // holds the surviving base-row indexes of rows so column-reference aggregate
 // arguments can run the typed grouped-aggregation kernel over the source's
 // column payloads.
-func execGrouped(db *DB, src *source, stmt *SelectStmt, rows []relation.Tuple, outer expr.Env, subs map[*expr.Subquery]*subState, idx []int32, aligned bool) (*relation.Relation, [][]value.Value, error) {
+func (x *stmtExec) execGrouped(src *source, stmt *SelectStmt, rows []relation.Tuple, idx []int32, aligned bool) (*relation.Relation, [][]value.Value, error) {
 	for _, it := range stmt.Items {
 		if it.Star {
 			return nil, nil, fmt.Errorf("sql: * is not allowed with GROUP BY or aggregates")
 		}
 	}
 	// Group rows by the GROUP BY expression values.
-	groups, gr, err := buildRowGroups(db, src, stmt, rows, outer, subs)
+	groups, gr, err := x.buildRowGroups(src, stmt, rows)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -665,72 +658,8 @@ func execGrouped(db *DB, src *source, stmt *SelectStmt, rows []relation.Tuple, o
 	if err != nil {
 		return nil, nil, err
 	}
-	if out, sortVals, handled, err := compiledGroupOutput(src, groups, gr, aggs, items, having, orderBy, schema, outer, idx, aligned, len(rows)); handled {
-		execGroupedCompiled.Inc()
-		if err != nil {
-			return nil, nil, err
-		}
-		return out, sortVals, nil
-	}
-	execGroupedInterpreted.Inc()
-	out := relation.New("result", schema)
-	sortVals := make([][]value.Value, 0, len(groups))
-	for _, grp := range groups {
-		extra := map[string]value.Value{}
-		for ai, a := range aggs {
-			acc := relation.NewAccumulator(a.fn)
-			for _, row := range grp.rows {
-				var v value.Value
-				if a.star {
-					v = value.NewInt(1)
-				} else {
-					var err error
-					v, err = expr.Eval(a.arg, rowEnv{src: src, row: row, db: db, outer: outer, subs: subs})
-					if err != nil {
-						return nil, nil, err
-					}
-				}
-				if err := acc.Add(v); err != nil {
-					return nil, nil, err
-				}
-			}
-			extra[aggPlaceholder(ai)] = acc.Result()
-		}
-		var rep relation.Tuple
-		if len(grp.rows) > 0 {
-			rep = grp.rows[0]
-		} else {
-			rep = make(relation.Tuple, len(src.rel.Schema))
-			for i := range rep {
-				rep[i] = value.Null
-			}
-		}
-		env := rowEnv{src: src, row: rep, extra: extra, db: db, outer: outer, subs: subs}
-		if having != nil {
-			ok, err := expr.EvalBool(having, env)
-			if err != nil {
-				return nil, nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		tuple := make(relation.Tuple, len(items))
-		for i, it := range items {
-			v, err := expr.Eval(it.Expr, env)
-			if err != nil {
-				return nil, nil, err
-			}
-			tuple[i] = widen(v, schema[i].Kind)
-		}
-		out.Rows = append(out.Rows, tuple)
-		keys, err := orderKeys(orderBy, env, out, tuple, items)
-		if err != nil {
-			return nil, nil, err
-		}
-		sortVals = append(sortVals, keys)
-	}
-	return out, sortVals, nil
+	execGroupedCompiled.Inc()
+	return x.groupOutput(src, groups, gr, aggs, items, having, orderBy, schema, idx, aligned, len(rows))
 }
 
 // liftedAgg is one distinct aggregate call lifted out of the statement.
@@ -994,31 +923,6 @@ func groupedSchema(src *source, stmt *SelectStmt, items []SelectItem, aggs []lif
 		schema[i] = relation.Column{Name: name, Kind: k}
 	}
 	return schema, nil
-}
-
-// orderKeys evaluates the ORDER BY expressions for one output row. Keys may
-// reference output aliases (resolved against the produced tuple) or source
-// columns (resolved via env).
-func orderKeys(orderBy []OrderItem, env rowEnv, out *relation.Relation, tuple relation.Tuple, items []SelectItem) ([]value.Value, error) {
-	if len(orderBy) == 0 {
-		return nil, nil
-	}
-	keys := make([]value.Value, len(orderBy))
-	for i, o := range orderBy {
-		// Output-alias reference?
-		if c, ok := o.Expr.(*expr.ColumnRef); ok {
-			if j := out.Schema.IndexOf(c.Name); j >= 0 {
-				keys[i] = tuple[j]
-				continue
-			}
-		}
-		v, err := expr.Eval(o.Expr, env)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = v
-	}
-	return keys, nil
 }
 
 // sortOutput stably sorts the output rows by the precomputed keys, through

@@ -133,16 +133,18 @@ func (db *DB) pushdown(stmt *SelectStmt) (filters map[string][]expr.Expr, residu
 	return filters, conjoin(rest)
 }
 
-// applyFilter filters a freshly materialised source in place.
-func applyFilter(db *DB, src *source, preds []expr.Expr, outer expr.Env) error {
+// applyFilter filters a freshly materialised source in place. Pushed-down
+// conjuncts reference only that source's columns and never nest a
+// subquery (homeAlias), so they compile with no enclosing scope.
+func applyFilter(src *source, preds []expr.Expr) error {
 	if len(preds) == 0 {
 		return nil
 	}
-	pred := conjoin(preds)
+	prog := expr.Compile(conjoin(preds), expr.Scope{Resolve: srcResolver(src)})
 	rows := src.rel.TupleRows()
 	kept := make([]relation.Tuple, 0, len(rows))
 	for _, row := range rows {
-		ok, err := expr.EvalBool(pred, rowEnv{src: src, row: row, db: db, outer: outer})
+		ok, err := prog.EvalBool(row)
 		if err != nil {
 			return err
 		}

@@ -16,7 +16,8 @@ import (
 // equivQueries spans the executor's paths: compiled WHERE filtering, plain
 // projection, grouped aggregation (multi-group and the chunked single
 // group), HAVING, ORDER BY over aliases / source columns / aggregates,
-// DISTINCT, LIMIT/OFFSET, joins, and the interpreted subquery fallback.
+// DISTINCT, LIMIT/OFFSET, joins, and subquery-bearing statements (which
+// run their chunks sequentially).
 var equivQueries = []string{
 	"SELECT * FROM cars",
 	"SELECT Model, Price FROM cars WHERE Price < 15000 AND Condition IN ('Good','Excellent')",

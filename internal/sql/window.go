@@ -76,7 +76,7 @@ func liftWindows(items []SelectItem, orderBy []OrderItem) (wins []*expr.WindowCa
 // __win_N column per call) with the rewritten statement. Output column
 // names keep the original spelling: an unaliased window item is named by
 // its OVER-clause SQL.
-func applyWindows(db *DB, src *source, stmt *SelectStmt, rows []relation.Tuple, outer expr.Env, subs map[*expr.Subquery]*subState, idx []int32, aligned bool) (*source, []relation.Tuple, *SelectStmt, error) {
+func (x *stmtExec) applyWindows(src *source, stmt *SelectStmt, rows []relation.Tuple, idx []int32, aligned bool) (*source, []relation.Tuple, *SelectStmt, error) {
 	// Expand * against the pre-window schema first so the placeholder
 	// columns never leak into a star expansion.
 	items, err := expandStars(src, stmt.Items)
@@ -110,7 +110,7 @@ func applyWindows(db *DB, src *source, stmt *SelectStmt, rows []relation.Tuple, 
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		vec, err := evalWindow(db, src, w, rows, outer, subs, idx, aligned)
+		vec, err := x.evalWindow(src, w, rows, idx, aligned)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -139,8 +139,9 @@ func applyWindows(db *DB, src *source, stmt *SelectStmt, rows []relation.Tuple, 
 // evalWindow computes one window call's value per row. Partition keys, order
 // keys and the argument are arbitrary expressions; when the source carries
 // typed columns and each input compiles to a batch program, the inputs fill
-// vectorized (counted by expr.batch.window), otherwise row by row.
-func evalWindow(db *DB, src *source, w *expr.WindowCall, rows []relation.Tuple, outer expr.Env, subs map[*expr.Subquery]*subState, idx []int32, aligned bool) ([]value.Value, error) {
+// vectorized (counted by expr.batch.window), otherwise row by row through
+// the row program.
+func (x *stmtExec) evalWindow(src *source, w *expr.WindowCall, rows []relation.Tuple, idx []int32, aligned bool) ([]value.Value, error) {
 	n := len(rows)
 	evalVec := func(e expr.Expr) ([]value.Value, bool, error) {
 		out := make([]value.Value, n)
@@ -151,8 +152,9 @@ func evalWindow(db *DB, src *source, w *expr.WindowCall, rows []relation.Tuple, 
 				}
 			}
 		}
+		prog := x.compile(e, srcResolver(src))
 		for i, row := range rows {
-			v, err := expr.Eval(e, rowEnv{src: src, row: row, db: db, outer: outer, subs: subs})
+			v, err := prog.Eval(row)
 			if err != nil {
 				return nil, false, err
 			}

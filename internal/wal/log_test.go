@@ -265,12 +265,12 @@ func TestLogTornTailRandomCuts(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	cuts := map[int64]bool{0: true, int64(len(raw)): true}
 	for _, e := range ends {
-		cuts[e] = true     // exactly at a boundary
-		cuts[e-1] = true   // one byte short
+		cuts[e] = true   // exactly at a boundary
+		cuts[e-1] = true // one byte short
 		cuts[e-headerSize] = true
 	}
 	for i := 0; i < 40; i++ {
-		cuts[int64(rng.Intn(len(raw) + 1))] = true
+		cuts[int64(rng.Intn(len(raw)+1))] = true
 	}
 	for cut := range cuts {
 		if cut < 0 {

@@ -517,7 +517,9 @@ type replayStop struct {
 	err error
 }
 
-func (r *replayStop) Error() string { return fmt.Sprintf("wal: replay stopped at record %d: %v", r.seq, r.err) }
+func (r *replayStop) Error() string {
+	return fmt.Sprintf("wal: replay stopped at record %d: %v", r.seq, r.err)
+}
 func (r *replayStop) Unwrap() error { return r.err }
 
 // Close checkpoints the session (so a later rehydration replays nothing)
