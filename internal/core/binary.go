@@ -207,11 +207,20 @@ func (s *Spreadsheet) Join(stored *Spreadsheet, condition string) error {
 	if kind != value.KindBool && kind != value.KindNull {
 		return fmt.Errorf("core: join condition must be boolean, got %s", kind)
 	}
-	prog := expr.Compile(e, expr.Scope{Resolve: schemaResolver(probe.Schema)})
-	on := func(t relation.Tuple) (bool, error) { return prog.EvalBool(t) }
+	on := boolFn(expr.Compile(e, expr.Scope{Resolve: schemaResolver(probe.Schema)}))
 	var j *relation.Relation
-	if lcols, rcols := equiPairs(e, probe.Schema, len(left.Schema)); len(lcols) > 0 {
-		j, err = left.HashJoin(right, lcols, rcols, on)
+	split := len(left.Schema)
+	if lcols, rcols := equiPairs(e, probe.Schema, split); len(lcols) > 0 {
+		// The hash may prove the key equalities (relation.HashJoin); then
+		// only the rest of the condition runs on its candidates.
+		var rest func(relation.Tuple) (bool, error)
+		if re := expr.DropConjuncts(e, func(n expr.Expr) bool {
+			_, _, ok := equiPair(n, probe.Schema, split)
+			return ok
+		}); re != nil {
+			rest = boolFn(expr.Compile(re, expr.Scope{Resolve: schemaResolver(probe.Schema)}))
+		}
+		j, err = left.HashJoin(right, lcols, rcols, on, rest)
 	} else {
 		j, err = left.Join(right, on)
 	}
@@ -220,6 +229,11 @@ func (s *Spreadsheet) Join(stored *Spreadsheet, condition string) error {
 	}
 	j.Name = s.name
 	return s.rebase(j, "⋈ "+stored.Name()+" ON "+e.SQL())
+}
+
+// boolFn adapts a compiled predicate to the relation kernels' row callback.
+func boolFn(p *expr.Program) func(relation.Tuple) (bool, error) {
+	return func(t relation.Tuple) (bool, error) { return p.EvalBool(t) }
 }
 
 // equiPairs extracts the cross-relation column-equality conjuncts of a join
@@ -231,32 +245,40 @@ func (s *Spreadsheet) Join(stored *Spreadsheet, condition string) error {
 func equiPairs(e expr.Expr, schema relation.Schema, split int) (lcols, rcols []int) {
 	var visit func(expr.Expr)
 	visit = func(n expr.Expr) {
-		b, ok := n.(*expr.Binary)
-		if !ok {
-			return
-		}
-		switch b.Op {
-		case expr.OpAnd:
+		if b, ok := n.(*expr.Binary); ok && b.Op == expr.OpAnd {
 			visit(b.L)
 			visit(b.R)
-		case expr.OpEq:
-			lc, lok := b.L.(*expr.ColumnRef)
-			rc, rok := b.R.(*expr.ColumnRef)
-			if !lok || !rok {
-				return
-			}
-			li, ri := schema.IndexOf(lc.Name), schema.IndexOf(rc.Name)
-			switch {
-			case li < 0 || ri < 0:
-			case li < split && ri >= split:
-				lcols = append(lcols, li)
-				rcols = append(rcols, ri-split)
-			case ri < split && li >= split:
-				lcols = append(lcols, ri)
-				rcols = append(rcols, li-split)
-			}
+			return
+		}
+		if l, r, ok := equiPair(n, schema, split); ok {
+			lcols = append(lcols, l)
+			rcols = append(rcols, r)
 		}
 	}
 	visit(e)
 	return lcols, rcols
+}
+
+// equiPair recognises one conjunct `a = b` whose columns lie on opposite
+// sides of split, returning the left position and the right one relative
+// to the right relation.
+func equiPair(n expr.Expr, schema relation.Schema, split int) (l, r int, ok bool) {
+	b, isBin := n.(*expr.Binary)
+	if !isBin || b.Op != expr.OpEq {
+		return 0, 0, false
+	}
+	lc, lok := b.L.(*expr.ColumnRef)
+	rc, rok := b.R.(*expr.ColumnRef)
+	if !lok || !rok {
+		return 0, 0, false
+	}
+	li, ri := schema.IndexOf(lc.Name), schema.IndexOf(rc.Name)
+	switch {
+	case li < 0 || ri < 0:
+	case li < split && ri >= split:
+		return li, ri - split, true
+	case ri < split && li >= split:
+		return ri, li - split, true
+	}
+	return 0, 0, false
 }

@@ -178,6 +178,16 @@ func (c *snapCache) clear() {
 	}
 }
 
+// Close releases the sheet's cached stage artifacts and their share of the
+// core.eval.snapshot_bytes gauge. Call it when a sheet is dropped; the
+// sheet stays usable, and a later evaluation simply starts cold.
+func (s *Spreadsheet) Close() {
+	if s.snapCache != nil {
+		s.snapCache.clear()
+		s.snapCache = nil
+	}
+}
+
 // snaps returns the sheet's artifact cache, creating it on first use.
 func (s *Spreadsheet) snaps() *snapCache {
 	if s.snapCache == nil {

@@ -39,6 +39,23 @@ func New(catalog *core.Catalog) *Engine {
 	return &Engine{catalog: catalog, tables: sql.NewDB()}
 }
 
+// setSheet makes sheet the current sheet, closing the one it replaces so
+// the dropped sheet's cached artifacts are released.
+func (e *Engine) setSheet(sheet *core.Spreadsheet) {
+	if e.sheet != nil && e.sheet != sheet {
+		e.sheet.Close()
+	}
+	e.sheet = sheet
+}
+
+// Close releases the current sheet's cached artifacts. A session calls it
+// when it closes or is evicted; the engine stays usable.
+func (e *Engine) Close() {
+	if e.sheet != nil {
+		e.sheet.Close()
+	}
+}
+
 // HasSheet reports whether a current sheet exists.
 func (e *Engine) HasSheet() bool { return e.sheet != nil }
 

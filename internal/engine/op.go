@@ -232,7 +232,7 @@ func (e *Engine) opDemo(op Op) (*Effect, error) {
 	case "", "cars":
 		cars := dataset.UsedCars()
 		e.tables.Register(cars)
-		e.sheet = core.New(cars)
+		e.setSheet(core.New(cars))
 		return &Effect{Entry: "opened demo sheet cars"}, nil
 	case "tpch":
 		sf := op.Scale
@@ -273,7 +273,7 @@ func (e *Engine) opLoad(op Op) (*Effect, error) {
 		return nil, err
 	}
 	e.tables.Register(rel)
-	e.sheet = core.New(rel)
+	e.setSheet(core.New(rel))
 	return &Effect{Entry: fmt.Sprintf("loaded %s as %s", op.Path, name)}, nil
 }
 
@@ -282,7 +282,7 @@ func (e *Engine) opUse(op Op) (*Effect, error) {
 	if !ok {
 		return nil, fmt.Errorf("engine: no table %q (see tables)", op.Table)
 	}
-	e.sheet = core.New(rel)
+	e.setSheet(core.New(rel))
 	return &Effect{Entry: "opened table " + op.Table}, nil
 }
 
@@ -430,7 +430,7 @@ func (e *Engine) opOpen(op Op) (*Effect, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.sheet = sheet
+	e.setSheet(sheet)
 	return &Effect{Entry: fmt.Sprintf("opened stored sheet %q", op.Name)}, nil
 }
 
@@ -525,7 +525,7 @@ func (e *Engine) opCompile(op Op) (*Effect, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.sheet = prog.Sheet
+	e.setSheet(prog.Sheet)
 	return &Effect{
 		Entry: "compiled via the Theorem 1 construction",
 		Log:   append([]string(nil), prog.Log...),
@@ -583,7 +583,7 @@ func (e *Engine) RestoreSheet(data []byte) error {
 	if err != nil {
 		return err
 	}
-	e.sheet = sheet
+	e.setSheet(sheet)
 	return nil
 }
 
@@ -618,7 +618,7 @@ func (e *Engine) RestoreSheetFull(data []byte) error {
 	if err != nil {
 		return err
 	}
-	e.sheet = sheet
+	e.setSheet(sheet)
 	return nil
 }
 

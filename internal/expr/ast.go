@@ -221,6 +221,32 @@ func (f *FuncCall) walk(fn func(Expr)) {
 	}
 }
 
+// DropConjuncts returns e with every top-level AND conjunct that drop
+// selects replaced by the literal TRUE, or nil when drop selects them all.
+// The AND tree keeps its shape, so on any row where the dropped conjuncts
+// are true the result evaluates exactly as e does — same value, same
+// error, same evaluation order. Join kernels use it to skip key equalities
+// the hash already proved.
+func DropConjuncts(e Expr, drop func(Expr) bool) Expr {
+	kept := false
+	var walk func(Expr) Expr
+	walk = func(n Expr) Expr {
+		if b, ok := n.(*Binary); ok && b.Op == OpAnd {
+			return &Binary{Op: OpAnd, L: walk(b.L), R: walk(b.R)}
+		}
+		if drop(n) {
+			return &Literal{Val: value.NewBool(true)}
+		}
+		kept = true
+		return n
+	}
+	out := walk(e)
+	if !kept {
+		return nil
+	}
+	return out
+}
+
 // Columns returns the distinct column names referenced by e, in first-use
 // order.
 func Columns(e Expr) []string {

@@ -3,6 +3,7 @@ package relation
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"sheetmusiq/internal/obs"
 	"sheetmusiq/internal/value"
@@ -546,11 +547,41 @@ func (t *distinctTable) absorb(o *distinctTable) {
 	}
 }
 
+// intSumsExact reports whether AVG's and STDDEV's float64 accumulation of
+// in's integer cells over n lanes is exact: every partial sum (of squares,
+// for STDDEV) is an integer below 2^53, so chunk partials merge
+// bit-identically to the sequential scan. Large magnitudes round, and the
+// rounding depends on the association order.
+func intSumsExact(fn AggFunc, in *Col, n int) bool {
+	if (fn != AggAvg && fn != AggStdDev) || in == nil || in.Kind != value.KindInt {
+		return true
+	}
+	var maxAbs uint64
+	for _, v := range in.Ints {
+		a := uint64(v)
+		if v < 0 {
+			a = -a
+		}
+		maxAbs = max(maxAbs, a)
+	}
+	term := maxAbs
+	if fn == AggStdDev {
+		hi, lo := bits.Mul64(maxAbs, maxAbs)
+		if hi != 0 {
+			return false
+		}
+		term = lo
+	}
+	hi, lo := bits.Mul64(term, uint64(n))
+	return hi == 0 && lo < 1<<53
+}
+
 // GroupAggregate computes fn over column in for every group: lane k in
 // [0,n) belongs to group gids[k] and reads cell rows[k] (nil rows =
 // identity), with ng groups total. The accumulation chunks in parallel when
-// the merge is bit-exact (MergeExact); otherwise it stays sequential and the
-// returned flag reports the fallback. A nil in is COUNT with no argument.
+// the merge is bit-exact (MergeExact, and intSumsExact for the float sums
+// of integer cells); otherwise it stays sequential and the returned flag
+// reports the fallback. A nil in is COUNT with no argument.
 // Boxed input columns decline with ErrNotVectorizable (except COUNT, which
 // never reads cells); callers then run the boxed Accumulator path.
 func GroupAggregate(fn AggFunc, in *Col, gids, rows []int32, n, ng int) ([]value.Value, bool, error) {
@@ -564,7 +595,7 @@ func GroupAggregate(fn AggFunc, in *Col, gids, rows []int32, n, ng int) ([]value
 	}
 	bounds := Chunks(n)
 	seqFallback := false
-	if len(bounds) > 1 && !MergeExact(fn, kind) {
+	if len(bounds) > 1 && (!MergeExact(fn, kind) || !intSumsExact(fn, in, n)) {
 		bounds = [][2]int{{0, n}}
 		seqFallback = true
 	}

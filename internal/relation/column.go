@@ -251,18 +251,25 @@ func (c *Col) HashInto(hs []uint64, rows []int32, lo, hi int) {
 // columnar materialisation primitive. Payloads copy as raw typed slots; no
 // cell is boxed.
 func (c *Col) Gather(rows []int32) *Col {
+	out := &Col{}
+	c.gatherInto(out, rows)
+	return out
+}
+
+// gatherInto is Gather writing into a zero Col the caller allocated.
+func (c *Col) gatherInto(out *Col, rows []int32) {
 	n := len(rows)
 	if c.Boxed != nil {
-		vals := make([]value.Value, n)
+		out.Boxed = make([]value.Value, n)
 		for i, ri := range rows {
-			vals[i] = c.Boxed[ri]
+			out.Boxed[i] = c.Boxed[ri]
 		}
-		return &Col{Boxed: vals}
+		return
 	}
+	out.Kind = c.Kind
 	if c.Kind == value.KindNull {
-		return AllNullCol()
+		return
 	}
-	out := &Col{Kind: c.Kind}
 	if c.Nulls != nil {
 		for i, ri := range rows {
 			if BitGet(c.Nulls, int(ri)) {
@@ -290,7 +297,6 @@ func (c *Col) Gather(rows []int32) *Col {
 			out.Ints[i] = c.Ints[ri]
 		}
 	}
-	return out
 }
 
 // AllNullCol returns a column whose every cell is NULL.
@@ -397,6 +403,54 @@ func FromColumnsLazy(name string, schema Schema, n int, fill func() []*Col) *Rel
 	r := &Relation{Name: name, Schema: schema}
 	r.col = &colState{colBuilt: true, nrows: n, fill: fill}
 	return r
+}
+
+// Renamed returns r's cells under a new name and schema of the same arity
+// and kinds (the SQL executor's qualified column names). It shares r's
+// rows and column vectors, whichever already exist, and builds neither —
+// a column-built relation's deferred assembly aside, which runs here.
+func (r *Relation) Renamed(name string, schema Schema) *Relation {
+	if r.col == nil {
+		return &Relation{Name: name, Schema: schema, Rows: r.Rows}
+	}
+	c := r.col
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.colBuilt {
+		r.ensureColsLocked(c)
+		out := FromColumns(name, schema, c.cols, c.nrows)
+		if c.rowsReady {
+			out.Rows, out.col.rowsReady = r.Rows, true
+		}
+		return out
+	}
+	out := &Relation{Name: name, Schema: schema, Rows: r.Rows}
+	if c.colsReady {
+		out.col = &colState{cols: c.cols, colsReady: true}
+	}
+	return out
+}
+
+// Gather returns r's rows at positions idx, in order, keeping r's
+// representation: gathered column vectors when r is column-built or has
+// its columns cached, the shared row tuples otherwise.
+func (r *Relation) Gather(idx []int32) *Relation {
+	cols := r.CachedColumns()
+	if cols == nil && r.col != nil && r.col.colBuilt {
+		cols = r.Columns()
+	}
+	if cols != nil {
+		out := make([]*Col, len(cols))
+		for i, c := range cols {
+			out[i] = c.Gather(idx)
+		}
+		return FromColumns(r.Name, r.Schema, out, len(idx))
+	}
+	rows := make([]Tuple, len(idx))
+	for i, ri := range idx {
+		rows[i] = r.Rows[ri]
+	}
+	return &Relation{Name: r.Name, Schema: r.Schema, Rows: rows}
 }
 
 // ensureColsLocked makes c.cols valid; the caller holds c.mu. Deferred

@@ -5,44 +5,35 @@ import (
 	"sheetmusiq/internal/value"
 )
 
-// Equi-hash-join kernel. The generic theta-join enumerates the full
-// Cartesian pair space; when the join predicate contains conjunctive
-// `a = b` column equalities across the two relations, HashJoin builds a
-// key table on the smaller side's key columns and probes with the
-// other side, so only hash-matching candidate pairs reach the predicate.
-// The result is identical, in product order, to filtering the product with
-// the same predicate — provided the predicate implies the key equalities
-// (callers extract the pairs from the predicate itself, so it does).
+// Join kernels. Every join — the equi-hash join, the theta pair scan and
+// the product — enumerates its matches as two aligned row-index vectors,
+// pa[k] into the left relation and pb[k] into the right, in product order
+// (left rows in order, each with its matching right rows ascending). The
+// output is then gathered straight from both sides' typed column vectors
+// (Col.Gather into FromColumns): joins return column-built relations, and
+// no output cell is boxed unless a consumer later asks for rows. Inputs are
+// columnarized for the join whatever their size; a small side converts in
+// microseconds.
 //
-// Hash candidates use value.Equal semantics, which is at least as inclusive
-// as any evaluator's `=`; the full predicate then re-filters candidates, so
-// extra candidates are harmless and matching pairs are never missed. One
-// caveat, shared with the SQL executor's hash join: a predicate that would
-// *error* on a non-candidate pair (say a residual conjunct comparing
-// incompatible kinds) reports that error only on the product path.
+// HashJoin builds a key table on the smaller side's key columns and probes
+// with the other, so only hash-matching candidate pairs reach a predicate.
+// Candidates compare keys with value.Equal, which is at least as inclusive
+// as any evaluator's `=`. When every key pair is proven by the typed hash
+// equality — both key columns typed (not Boxed), of the same kind, and that
+// kind not Float — a candidate's key conjuncts are exactly true, except
+// for NULL keys, so rows with a NULL key never match and only the
+// predicate's remaining conjuncts run on the candidates; a keys-only ON
+// runs no row program at all. Otherwise (cross-kind numeric keys, float
+// keys, Boxed mixed-kind columns) the full predicate runs on every
+// candidate. Boxed rows therefore appear only where a predicate runs.
 //
-// When both sides carry typed column vectors (already cached, or large
-// enough that columnarizing pays for itself), the build and probe hash and
-// compare raw payloads through the colGrouper; otherwise they box through
-// the tuple-keyed Grouper. Both produce identical group assignments — the
-// typed hash replicates value.Hash bit for bit and the typed equality is
-// value.Equal's — so the candidate sets coincide.
+// A predicate that would *error* on a non-candidate pair — a residual
+// conjunct comparing incompatible kinds, say — reports that error only on
+// the product path (Join); the hash kernel never evaluates such a pair.
 var (
 	joinHash     = obs.Default.Counter("relation.join.hash")
 	joinFallback = obs.Default.Counter("relation.join.fallback")
 )
-
-// joinCols returns the relation's typed columns when the columnar path is
-// worthwhile: already built, or large enough to amortise the conversion.
-func joinCols(r *Relation) []*Col {
-	if cols := r.CachedColumns(); cols != nil {
-		return cols
-	}
-	if r.Len() >= autoColumnarThreshold {
-		return r.Columns()
-	}
-	return nil
-}
 
 // colPairEqual reports value.Equal of cell i of column a and cell j of
 // column b without boxing, falling back to boxed comparison for dynamic
@@ -93,12 +84,76 @@ func (g *colGrouper) findCross(probe []*Col, cell int, h uint64) int32 {
 	}
 }
 
-// typedJoinGids computes both sides' key group IDs over typed columns,
-// returning the group count and whether the typed path applied.
-func typedJoinGids(r, s *Relation, lcols, rcols []int, agids, bgids []int32) (int, bool) {
-	acols, bcols := joinCols(r), joinCols(s)
-	if acols == nil || bcols == nil {
-		return 0, false
+// keysProven reports whether the typed hash equality of the key columns is
+// exactly SQL `=` on non-NULL cells: every pair typed, same kind, not Float.
+func keysProven(akey, bkey []*Col) bool {
+	for k := range akey {
+		a, b := akey[k], bkey[k]
+		if a.Boxed != nil || b.Boxed != nil || a.Kind != b.Kind ||
+			a.Kind == value.KindFloat || a.Kind == value.KindNull {
+			return false
+		}
+	}
+	return true
+}
+
+// nullKey reports whether any key cell of row i is NULL.
+func nullKey(key []*Col, i int) bool {
+	for _, c := range key {
+		if BitGet(c.Nulls, i) {
+			return true
+		}
+	}
+	return false
+}
+
+// joinGroups assigns every left and right row its key group ID, -1 for a
+// row no key on the other side can match. The table is built on the
+// smaller side and probed with the larger; probing only reads the table,
+// so it fans out across chunks. With skipNulls, rows holding a NULL key
+// cell take -1 on both sides.
+func joinGroups(akey, bkey []*Col, na, nb int, skipNulls bool) (agids, bgids []int32, ngroups int) {
+	agids, bgids = make([]int32, na), make([]int32, nb)
+	build, probe, bgid, pgid := akey, bkey, agids, bgids
+	if na > nb {
+		build, probe, bgid, pgid = bkey, akey, bgids, agids
+	}
+	grouperBuilds.Inc()
+	bh := hashLanes(build, nil, len(bgid))
+	ph := hashLanes(probe, nil, len(pgid))
+	g := newColGrouper(build, len(bgid))
+	for i := range bgid {
+		if skipNulls && nullKey(build, i) {
+			bgid[i] = -1
+			continue
+		}
+		bgid[i], _ = g.add(i, bh[i])
+	}
+	_ = ForChunks(len(pgid), func(_, lo, hi int) error {
+		for j := lo; j < hi; j++ {
+			if skipNulls && nullKey(probe, j) {
+				pgid[j] = -1
+				continue
+			}
+			pgid[j] = g.findCross(probe, j, ph[j])
+		}
+		return nil
+	})
+	return agids, bgids, len(g.reps)
+}
+
+// HashJoin joins r and s on the key column pairs lcols[i] = rcols[i]. on is
+// the full join predicate over the product row layout (nil keeps every
+// candidate); rest is on with its key conjuncts replaced by TRUE, nil when
+// nothing else remains — it is all that runs on a candidate when the typed
+// hash proves the keys (see above). Output rows appear in product order,
+// bit-identical to Join(s, on).
+func (r *Relation) HashJoin(s *Relation, lcols, rcols []int, on, rest func(Tuple) (bool, error)) (*Relation, error) {
+	joinHash.Inc()
+	acols, bcols := r.Columns(), s.Columns()
+	na, nb := r.Len(), s.Len()
+	if na == 0 || nb == 0 {
+		return gatherPairs(r, s, nil, nil), nil
 	}
 	akey := make([]*Col, len(lcols))
 	for i, c := range lcols {
@@ -108,84 +163,12 @@ func typedJoinGids(r, s *Relation, lcols, rcols []int, agids, bgids []int32) (in
 	for i, c := range rcols {
 		bkey[i] = bcols[c]
 	}
-	na, nb := len(agids), len(bgids)
-	grouperBuilds.Inc()
-	ah := hashLanes(akey, nil, na)
-	bh := hashLanes(bkey, nil, nb)
-	var g *colGrouper
-	if na <= nb {
-		g = newColGrouper(akey, na)
-		for i := 0; i < na; i++ {
-			agids[i], _ = g.add(i, ah[i])
-		}
-		_ = ForChunks(nb, func(_, lo, hi int) error {
-			for j := lo; j < hi; j++ {
-				bgids[j] = g.findCross(bkey, j, bh[j])
-			}
-			return nil
-		})
-	} else {
-		g = newColGrouper(bkey, nb)
-		for j := 0; j < nb; j++ {
-			bgids[j], _ = g.add(j, bh[j])
-		}
-		_ = ForChunks(na, func(_, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				agids[i] = g.findCross(akey, i, ah[i])
-			}
-			return nil
-		})
+	pred := on
+	proven := keysProven(akey, bkey)
+	if proven {
+		pred = rest
 	}
-	return len(g.reps), true
-}
-
-// HashJoin joins r and s on the column-equality pairs lcols[i] = rcols[i],
-// then filters the surviving candidate pairs with on (the full join
-// predicate over the product row layout; nil keeps every candidate).
-// Output rows appear in product order — left rows in order, each with its
-// matching right rows ascending — bit-identical to Join(s, on).
-func (r *Relation) HashJoin(s *Relation, lcols, rcols []int, on func(Tuple) (bool, error)) (*Relation, error) {
-	joinHash.Inc()
-	out := New(r.Name+"_x_"+s.Name, productSchema(r, s))
-	na, nb := r.Len(), s.Len()
-	if na == 0 || nb == 0 {
-		return out, nil
-	}
-	// Build the key table on the smaller side, probe with the larger; either
-	// way the per-row outcome is the same two arrays: each left row's group
-	// ID (or -1) and each right row's group ID (or -1). Probing only reads
-	// the table, so it fans out across chunks.
-	agids := make([]int32, na)
-	bgids := make([]int32, nb)
-	ngroups, typed := typedJoinGids(r, s, lcols, rcols, agids, bgids)
-	if !typed {
-		rrows, srows := r.TupleRows(), s.TupleRows()
-		var g *Grouper
-		if na <= nb {
-			g = NewGrouper(lcols, na)
-			for i, t := range rrows {
-				agids[i], _ = g.Add(t)
-			}
-			_ = ForChunks(nb, func(_, lo, hi int) error {
-				for j := lo; j < hi; j++ {
-					bgids[j] = g.FindOn(srows[j], rcols)
-				}
-				return nil
-			})
-		} else {
-			g = NewGrouper(rcols, nb)
-			for j, t := range srows {
-				bgids[j], _ = g.Add(t)
-			}
-			_ = ForChunks(na, func(_, lo, hi int) error {
-				for i := lo; i < hi; i++ {
-					agids[i] = g.FindOn(rrows[i], lcols)
-				}
-				return nil
-			})
-		}
-		ngroups = g.Len()
-	}
+	agids, bgids, ngroups := joinGroups(akey, bkey, na, nb, proven)
 	// Posting lists: the right rows of each group, ascending, in CSR layout —
 	// one flat entry array sliced per group by offsets, not one slice per
 	// group.
@@ -207,28 +190,40 @@ func (r *Relation) HashJoin(s *Relation, lcols, rcols []int, on func(Tuple) (boo
 			cursor[gid]++
 		}
 	}
-	// Probe left rows in chunks; each chunk evaluates the predicate over its
-	// candidates with a private scratch row and aborts at its first error,
-	// so RunChunks reports the error of the first failing candidate in
-	// product order — matching the sequential scan over the same candidates.
-	rrows, srows := r.TupleRows(), s.TupleRows()
-	w, wl := len(out.Schema), len(r.Schema)
+	// Enumerate pairs over left-row chunks. With a predicate, each chunk
+	// evaluates it over its candidates in a private scratch row — left cells
+	// filled once per left row, right cells per candidate — and aborts at
+	// its first error, so RunChunks reports the error of the first failing
+	// candidate in product order, as the sequential scan would.
+	wl := len(acols)
 	bounds := Chunks(na)
 	pas := make([][]int32, len(bounds))
 	pbs := make([][]int32, len(bounds))
 	err := RunChunks(bounds, func(c, lo, hi int) error {
-		scratch := make(Tuple, w)
-		var pa, pb []int32
+		var scratch Tuple
+		if pred != nil {
+			scratch = make(Tuple, wl+len(bcols))
+		}
+		// The chunk's candidate count bounds its pairs: one allocation each.
+		cand := 0
+		for a := lo; a < hi; a++ {
+			if gid := agids[a]; gid >= 0 {
+				cand += int(starts[gid+1] - starts[gid])
+			}
+		}
+		pa, pb := make([]int32, 0, cand), make([]int32, 0, cand)
 		for a := lo; a < hi; a++ {
 			gid := agids[a]
 			if gid < 0 || starts[gid] == starts[gid+1] {
 				continue
 			}
-			copy(scratch, rrows[a])
+			if pred != nil {
+				fillCells(scratch, acols, a)
+			}
 			for _, b := range entries[starts[gid]:starts[gid+1]] {
-				if on != nil {
-					copy(scratch[wl:], srows[b])
-					ok, err := on(scratch)
+				if pred != nil {
+					fillCells(scratch[wl:], bcols, int(b))
+					ok, err := pred(scratch)
 					if err != nil {
 						return err
 					}
@@ -246,6 +241,9 @@ func (r *Relation) HashJoin(s *Relation, lcols, rcols []int, on func(Tuple) (boo
 	if err != nil {
 		return nil, err
 	}
+	if len(pas) == 1 {
+		return gatherPairs(r, s, pas[0], pbs[0]), nil
+	}
 	total := 0
 	for _, pa := range pas {
 		total += len(pa)
@@ -256,6 +254,75 @@ func (r *Relation) HashJoin(s *Relation, lcols, rcols []int, on func(Tuple) (boo
 		pa = append(pa, pas[c]...)
 		pb = append(pb, pbs[c]...)
 	}
-	MaterializePairs(out, r, s, pa, pb)
-	return out, nil
+	return gatherPairs(r, s, pa, pb), nil
+}
+
+// fillCells writes row i of cols into dst.
+func fillCells(dst Tuple, cols []*Col, i int) {
+	for ci, c := range cols {
+		dst[ci] = c.Value(i)
+	}
+}
+
+// Join computes the theta-join of r and s using on as the join predicate
+// over the product row layout (r's columns then s's, disambiguated as in
+// Product). A nil predicate degenerates to the product. Candidate pairs are
+// enumerated with a scratch row over both sides' rows — the predicate runs
+// on every pair, so the rows are worth materializing — and the matches are
+// gathered column-wise, in product order.
+func (r *Relation) Join(s *Relation, on func(Tuple) (bool, error)) (*Relation, error) {
+	if on == nil {
+		return r.Product(s), nil
+	}
+	joinFallback.Inc()
+	wl := len(r.Schema)
+	scratch := make(Tuple, wl+len(s.Schema))
+	var pa, pb []int32
+	srows := s.TupleRows()
+	for a, ta := range r.TupleRows() {
+		copy(scratch, ta)
+		for b, tb := range srows {
+			copy(scratch[wl:], tb)
+			ok, err := on(scratch)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				pa = append(pa, int32(a))
+				pb = append(pb, int32(b))
+			}
+		}
+	}
+	return gatherPairs(r, s, pa, pb), nil
+}
+
+// Product returns the Cartesian product r × s with productSchema naming:
+// every pair, gathered column-wise in product order.
+func (r *Relation) Product(s *Relation) *Relation {
+	na, nb := r.Len(), s.Len()
+	pa := make([]int32, na*nb)
+	pb := make([]int32, na*nb)
+	for a := 0; a < na; a++ {
+		for b := 0; b < nb; b++ {
+			pa[a*nb+b], pb[a*nb+b] = int32(a), int32(b)
+		}
+	}
+	return gatherPairs(r, s, pa, pb)
+}
+
+// gatherPairs builds the product-layout relation of the index pairs: r's
+// columns gathered by pa, then s's by pb. Payloads copy as raw typed slots.
+func gatherPairs(r, s *Relation, pa, pb []int32) *Relation {
+	acols, bcols := r.Columns(), s.Columns()
+	out := make([]Col, len(acols)+len(bcols))
+	cols := make([]*Col, len(out))
+	for i := range out {
+		if i < len(acols) {
+			acols[i].gatherInto(&out[i], pa)
+		} else {
+			bcols[i-len(acols)].gatherInto(&out[i], pb)
+		}
+		cols[i] = &out[i]
+	}
+	return FromColumns(r.Name+"_x_"+s.Name, productSchema(r, s), cols, len(pa))
 }

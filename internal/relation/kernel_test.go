@@ -107,32 +107,16 @@ func TestGroupRowsOnParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestGrouperFindOnCrossLayout: FindOn with probe-side columns must locate
-// groups built from build-side columns (the hash-join probe).
-func TestGrouperFindOnCrossLayout(t *testing.T) {
-	g := NewGrouper([]int{1}, 4)
-	b1, _ := g.Add(Tuple{value.NewString("x"), value.NewInt(7)})
-	b2, _ := g.Add(Tuple{value.NewString("y"), value.NewInt(8)})
-	if got := g.FindOn(Tuple{value.NewFloat(7), value.NewString("z")}, []int{0}); got != b1 {
-		t.Fatalf("FindOn(float 7) = %d, want %d (int/float coincidence)", got, b1)
-	}
-	if got := g.FindOn(Tuple{value.NewInt(8), value.Null}, []int{0}); got != b2 {
-		t.Fatalf("FindOn(8) = %d, want %d", got, b2)
-	}
-	if got := g.FindOn(Tuple{value.NewInt(9)}, []int{0}); got != -1 {
-		t.Fatalf("FindOn(9) = %d, want -1", got)
-	}
-}
-
 // relEqual compares two relations row by row under bit-identity (kind and
 // payload via MustCompare==0 plus same kind).
 func relEqual(a, b *Relation) bool {
-	if len(a.Rows) != len(b.Rows) || len(a.Schema) != len(b.Schema) {
+	ar, br := a.TupleRows(), b.TupleRows()
+	if len(ar) != len(br) || len(a.Schema) != len(b.Schema) {
 		return false
 	}
-	for i := range a.Rows {
-		for j := range a.Rows[i] {
-			x, y := a.Rows[i][j], b.Rows[i][j]
+	for i := range ar {
+		for j := range ar[i] {
+			x, y := ar[i][j], br[i][j]
 			if x.Kind() != y.Kind() || !value.Equal(x, y) {
 				return false
 			}
@@ -168,7 +152,7 @@ func TestHashJoinMatchesThetaJoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := left.HashJoin(right, []int{1}, []int{1}, on)
+		got, err := left.HashJoin(right, []int{1}, []int{1}, on, on)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +179,7 @@ func TestHashJoinErrorParity(t *testing.T) {
 		return false, nil
 	}
 	_, errTheta := left.Join(right, boom)
-	_, errHash := left.HashJoin(right, []int{1}, []int{1}, boom)
+	_, errHash := left.HashJoin(right, []int{1}, []int{1}, boom, boom)
 	if errTheta == nil || errHash == nil {
 		t.Fatalf("expected both paths to error (theta %v, hash %v)", errTheta, errHash)
 	}

@@ -181,8 +181,8 @@ func TestJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Len() != 1 || j.Rows[0][2].Str() != "two" {
-		t.Errorf("join result = %v", j.Rows)
+	if j.Len() != 1 || j.TupleRows()[0][2].Str() != "two" {
+		t.Errorf("join result = %v", j.TupleRows())
 	}
 }
 

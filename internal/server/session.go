@@ -434,6 +434,15 @@ func (m *Manager) closeLocked(s *Session, reason closeReason) {
 	sessLive.Set(int64(len(m.sessions)))
 	m.log.Debug("session closed", "session", s.id, "reason", reason.String())
 	if s.wlog == nil {
+		// Release the engine's cached artifacts once any in-flight op
+		// drains, off the manager mutex for the same reason as below.
+		m.wg.Add(1)
+		go func() {
+			defer m.wg.Done()
+			s.mu.Lock()
+			s.eng.Close()
+			s.mu.Unlock()
+		}()
 		return
 	}
 	ch := make(chan struct{})
@@ -461,6 +470,7 @@ func (m *Manager) finishClose(s *Session, ch chan struct{}, reason closeReason) 
 			m.log.Warn("flushing session wal", "session", s.id, "err", err)
 		}
 	}
+	s.eng.Close()
 	s.mu.Unlock()
 	m.mu.Lock()
 	delete(m.closing, s.id)

@@ -70,24 +70,21 @@ func extResolver(src *source, nAggs int) expr.Resolver {
 	}
 }
 
-// filterRows applies the WHERE predicate over the source rows, which are
-// the full source row set in base-row order. Each chunk compacts its
+// filterRows applies a predicate over rs, which holds every source row in
+// order, and returns the row set of the survivors. Each chunk compacts its
 // survivors' positions into its own prefix of a fresh index vector and the
 // kept runs concatenate in chunk order, reproducing the sequential multiset
-// order exactly; the rows belong to a registered base table, so they are
-// never compacted in place. When the rows align with the source's typed
-// columns and the predicate batch-compiles, each chunk's survivors come
-// from a batch selection over the column vectors; a chunk whose window
-// would error re-runs through the row program, which reproduces the exact
-// error. The surviving base-row indexes are returned beside the rows for
-// downstream batch programs.
-func (x *stmtExec) filterRows(src *source, pred expr.Expr, rows []relation.Tuple, aligned bool) ([]relation.Tuple, []int32, error) {
+// order exactly. When the source carries typed columns and the predicate
+// batch-compiles, each chunk's survivors come from a batch selection over
+// the column vectors; a chunk whose window would error re-runs through the
+// row program, which reproduces the exact error.
+func (x *stmtExec) filterRows(src *source, pred expr.Expr, rs *rowSet) (*rowSet, error) {
 	prog := x.compile(pred, srcResolver(src))
 	var bp *expr.BatchProgram
-	if aligned {
+	if src.cols != nil {
 		bp, _ = expr.CompileBatch(pred, src.batchResolve)
 	}
-	n := len(rows)
+	n := rs.n
 	dst := make([]int32, n)
 	bounds := x.chunks(n)
 	counts := make([]int, len(bounds))
@@ -98,6 +95,7 @@ func (x *stmtExec) filterRows(src *source, pred expr.Expr, rows []relation.Tuple
 				return nil
 			}
 		}
+		rows := rs.tuples()
 		w := lo
 		for i := lo; i < hi; i++ {
 			ok, err := prog.EvalBool(rows[i])
@@ -113,7 +111,7 @@ func (x *stmtExec) filterRows(src *source, pred expr.Expr, rows []relation.Tuple
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	w := 0
 	if len(bounds) > 0 {
@@ -124,12 +122,7 @@ func (x *stmtExec) filterRows(src *source, pred expr.Expr, rows []relation.Tuple
 			w += counts[c]
 		}
 	}
-	idx := dst[:w:w]
-	kept := make([]relation.Tuple, w)
-	for i, ri := range idx {
-		kept[i] = rows[ri]
-	}
-	return kept, idx, nil
+	return &rowSet{src: src, idx: dst[:w:w], n: w}, nil
 }
 
 // orderRef is one compiled ORDER BY key: either a projection of the output
@@ -178,12 +171,13 @@ func evalOrderRefs(refs []orderRef, tuple relation.Tuple, row []value.Value) ([]
 
 // plainOutput is execPlain's output loop: every item and ORDER BY key
 // compiled once, output slots pre-sized so chunks write disjoint indexes.
-// When the rows still align with the source's typed columns (idx holds
-// their base-row indexes; nil means identity) and every item
-// batch-compiles, the items fill positional value vectors straight from the
-// column payloads; a chunk whose window would error re-runs through the row
-// programs, which reproduce the exact error.
-func (x *stmtExec) plainOutput(src *source, stmt *SelectStmt, items []SelectItem, schema relation.Schema, rows []relation.Tuple, idx []int32, aligned bool) (*relation.Relation, [][]value.Value, error) {
+// When the source carries typed columns and every item batch-compiles, the
+// items fill positional value vectors straight from the column payloads
+// through the row set's source positions, and boxed source rows
+// materialize only if an ORDER BY key needs a row program; a chunk whose
+// window would error re-runs through the row programs, which reproduce the
+// exact error.
+func (x *stmtExec) plainOutput(src *source, stmt *SelectStmt, items []SelectItem, schema relation.Schema, rs *rowSet) (*relation.Relation, [][]value.Value, error) {
 	resolve := srcResolver(src)
 	itemProgs := make([]*expr.Program, len(items))
 	for i, it := range items {
@@ -191,9 +185,14 @@ func (x *stmtExec) plainOutput(src *source, stmt *SelectStmt, items []SelectItem
 	}
 	out := relation.New("result", schema)
 	refs := x.compileOrderRefs(stmt.OrderBy, out.Schema, resolve)
+	rowKeys := false
+	for _, r := range refs {
+		rowKeys = rowKeys || r.prog != nil
+	}
+	n := rs.n
 	var bps []*expr.BatchProgram
 	var itemVals [][]value.Value
-	if aligned {
+	if src.cols != nil {
 		bps = make([]*expr.BatchProgram, len(items))
 		for i, it := range items {
 			if bps[i], _ = expr.CompileBatch(it.Expr, src.batchResolve); bps[i] == nil {
@@ -204,22 +203,26 @@ func (x *stmtExec) plainOutput(src *source, stmt *SelectStmt, items []SelectItem
 		if bps != nil {
 			itemVals = make([][]value.Value, len(items))
 			for i := range itemVals {
-				itemVals[i] = make([]value.Value, len(rows))
+				itemVals[i] = make([]value.Value, n)
 			}
 		}
 	}
-	out.Rows = make([]relation.Tuple, len(rows))
-	sortVals := make([][]value.Value, len(rows))
-	err := x.forChunks(len(rows), func(_, lo, hi int) error {
+	out.Rows = make([]relation.Tuple, n)
+	sortVals := make([][]value.Value, n)
+	err := x.forChunks(n, func(_, lo, hi int) error {
 		if bps != nil {
 			ok := true
 			for i := range bps {
-				if !bps[i].EvalPos(idx, lo, hi, schema[i].Kind, itemVals[i]) {
+				if !bps[i].EvalPos(rs.idx, lo, hi, schema[i].Kind, itemVals[i]) {
 					ok = false
 					break
 				}
 			}
 			if ok {
+				var rows []relation.Tuple
+				if rowKeys {
+					rows = rs.tuples()
+				}
 				flat := make([]value.Value, (hi-lo)*len(items))
 				for ri := lo; ri < hi; ri++ {
 					tuple := flat[(ri-lo)*len(items) : (ri-lo+1)*len(items) : (ri-lo+1)*len(items)]
@@ -227,7 +230,11 @@ func (x *stmtExec) plainOutput(src *source, stmt *SelectStmt, items []SelectItem
 						tuple[i] = itemVals[i][ri]
 					}
 					out.Rows[ri] = tuple
-					keys, err := evalOrderRefs(refs, tuple, rows[ri])
+					var row relation.Tuple
+					if rows != nil {
+						row = rows[ri]
+					}
+					keys, err := evalOrderRefs(refs, tuple, row)
 					if err != nil {
 						return err
 					}
@@ -236,6 +243,7 @@ func (x *stmtExec) plainOutput(src *source, stmt *SelectStmt, items []SelectItem
 				return nil
 			}
 		}
+		rows := rs.tuples()
 		for ri := lo; ri < hi; ri++ {
 			tuple := make(relation.Tuple, len(items))
 			for i, p := range itemProgs {
@@ -387,13 +395,12 @@ func accumulateGroup(aggs []liftedAgg, aggProgs []*expr.Program, rows []relation
 // chunk order); the single-group case chunks the aggregate accumulation
 // instead.
 //
-// When the rows still align with the source's typed columns (idx holds
-// their base-row indexes; nil means identity) and every lifted aggregate's
+// When the source carries typed columns and every lifted aggregate's
 // argument is a plain column reference (or COUNT(*)), the aggregates
 // compute up front through the typed grouped-aggregation kernel — all
-// groups at once over the column payloads — and the per-group loop only
-// reads the results.
-func (x *stmtExec) groupOutput(src *source, groups []*rowGroup, gr *relation.Grouping, aggs []liftedAgg, items []SelectItem, having expr.Expr, orderBy []OrderItem, schema relation.Schema, idx []int32, aligned bool, nRows int) (*relation.Relation, [][]value.Value, error) {
+// groups at once over the column payloads, through the row set's source
+// positions — and the per-group loop only reads the results.
+func (x *stmtExec) groupOutput(src *source, groups []*rowGroup, gr *relation.Grouping, aggs []liftedAgg, items []SelectItem, having expr.Expr, orderBy []OrderItem, schema relation.Schema, rs *rowSet) (*relation.Relation, [][]value.Value, error) {
 	nSrc := len(src.rel.Schema)
 	ext := extResolver(src, len(aggs))
 	aggProgs := make([]*expr.Program, len(aggs))
@@ -421,13 +428,13 @@ func (x *stmtExec) groupOutput(src *source, groups []*rowGroup, gr *relation.Gro
 	if !chunkSafe {
 		execMergeFallback.Inc()
 	}
-	// Typed grouped aggregation: with the row→group map in hand and the rows
-	// still aligned to the source columns, column-reference arguments (and
+	// Typed grouped aggregation: with the row→group map in hand and the
+	// source's typed columns available, column-reference arguments (and
 	// COUNT(*)) feed the typed kernel over the column payloads for all groups
 	// at once. The engagement is all-or-nothing so the boxed per-group loop
 	// below stays the single fallback.
 	var aggResults [][]value.Value // [agg][group]
-	if aligned && len(aggs) > 0 {
+	if src.cols != nil && len(aggs) > 0 {
 		typedOK := true
 		cols := make([]*relation.Col, len(aggs))
 		for i, a := range aggs {
@@ -447,7 +454,7 @@ func (x *stmtExec) groupOutput(src *source, groups []*rowGroup, gr *relation.Gro
 		if typedOK {
 			aggResults = make([][]value.Value, len(aggs))
 			for i, a := range aggs {
-				res, _, err := relation.GroupAggregate(a.fn, cols[i], gr.IDs, idx, nRows, len(groups))
+				res, _, err := relation.GroupAggregate(a.fn, cols[i], gr.IDs, rs.idx, rs.n, len(groups))
 				if err != nil {
 					if errors.Is(err, relation.ErrNotVectorizable) {
 						aggResults = nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"sheetmusiq/internal/expr"
 	"sheetmusiq/internal/relation"
@@ -58,7 +59,7 @@ func (db *DB) Query(src string) (*relation.Relation, error) {
 // Exec executes a parsed statement.
 func (db *DB) Exec(stmt *SelectStmt) (*relation.Relation, error) {
 	filters, residual := db.pushdown(stmt)
-	src, err := db.evalFromFiltered(stmt.From, filters)
+	src, err := db.evalFrom(stmt.From, &fromPlan{filters: filters, refs: pruneRefs(stmt)})
 	if err != nil {
 		return nil, err
 	}
@@ -72,12 +73,44 @@ func (db *DB) Exec(stmt *SelectStmt) (*relation.Relation, error) {
 
 // source is the FROM result: a relation whose columns carry fully qualified
 // names ("alias.col"); lookups resolve bare names by unique suffix match.
-// cols, when non-nil, are the backing table's typed column vectors, aligned
-// with rel's rows — the WHERE and select-item fast paths evaluate batch
-// programs against them. Any in-place row filtering drops them.
+// cols, when non-nil, are rel's typed column vectors — the WHERE,
+// select-item, window and aggregate fast paths evaluate batch programs
+// against them. Join results always carry them; a lone table carries them
+// when it is large enough (ColumnarThreshold) or already columnarized.
 type source struct {
 	rel  *relation.Relation
 	cols []*relation.Col
+}
+
+// rowSet is a statement's working row set over its source: the positions
+// of the surviving source rows (idx; nil means every row, in order). Boxed
+// tuples materialize only when a row program asks for them.
+type rowSet struct {
+	src  *source
+	idx  []int32
+	n    int
+	once sync.Once
+	rows []relation.Tuple
+}
+
+// allRows is the row set of every source row.
+func allRows(src *source) *rowSet { return &rowSet{src: src, n: src.rel.Len()} }
+
+// tuples returns the set's rows, materializing them on first call. Chunk
+// bodies may call it concurrently.
+func (rs *rowSet) tuples() []relation.Tuple {
+	rs.once.Do(func() {
+		all := rs.src.rel.TupleRows()
+		if rs.idx == nil {
+			rs.rows = all
+			return
+		}
+		rs.rows = make([]relation.Tuple, len(rs.idx))
+		for i, ri := range rs.idx {
+			rs.rows[i] = all[ri]
+		}
+	})
+	return rs.rows
 }
 
 // batchResolve exposes the source's typed columns to the vectorized
@@ -214,7 +247,7 @@ func (x *stmtExec) subquery(sub *expr.Subquery, sc *scope) (*relation.Relation, 
 	}
 	st := x.subs[sub]
 	if st == nil {
-		src, err := x.db.evalFrom(stmt.From)
+		src, err := x.db.evalFrom(stmt.From, &fromPlan{refs: pruneRefs(stmt)})
 		if err != nil {
 			return nil, err
 		}
@@ -297,14 +330,10 @@ func freeVars(stmt *SelectStmt, src *source) (vars []string, disable bool) {
 	return vars, disable
 }
 
-// evalFrom materialises a FROM tree into a qualified-name relation.
-func (db *DB) evalFrom(f FromItem) (*source, error) {
-	return db.evalFromFiltered(f, nil)
-}
-
-// evalFromFiltered materialises a FROM tree, applying any pushed-down
-// per-alias filters as each source appears.
-func (db *DB) evalFromFiltered(f FromItem, filters map[string][]expr.Expr) (*source, error) {
+// evalFrom materialises a FROM tree, applying the plan's pushed-down
+// per-alias filters as each source appears and carrying only the
+// referenced columns of each base table when the plan prunes.
+func (db *DB) evalFrom(f FromItem, plan *fromPlan) (*source, error) {
 	switch t := f.(type) {
 	case *TableRef:
 		base, ok := db.Table(t.Name)
@@ -315,8 +344,8 @@ func (db *DB) evalFromFiltered(f FromItem, filters map[string][]expr.Expr) (*sou
 		if alias == "" {
 			alias = t.Name
 		}
-		src := qualify(base, alias)
-		if err := applyFilter(src, filters[strings.ToLower(alias)]); err != nil {
+		src := qualify(base, alias, plan.refs)
+		if err := applyFilter(src, plan.filters[strings.ToLower(alias)]); err != nil {
 			return nil, err
 		}
 		return src, nil
@@ -325,17 +354,17 @@ func (db *DB) evalFromFiltered(f FromItem, filters map[string][]expr.Expr) (*sou
 		if err != nil {
 			return nil, err
 		}
-		src := qualify(inner, t.Alias)
-		if err := applyFilter(src, filters[strings.ToLower(t.Alias)]); err != nil {
+		src := qualify(inner, t.Alias, nil)
+		if err := applyFilter(src, plan.filters[strings.ToLower(t.Alias)]); err != nil {
 			return nil, err
 		}
 		return src, nil
 	case *JoinRef:
-		left, err := db.evalFromFiltered(t.Left, filters)
+		left, err := db.evalFrom(t.Left, plan)
 		if err != nil {
 			return nil, err
 		}
-		right, err := db.evalFromFiltered(t.Right, filters)
+		right, err := db.evalFrom(t.Right, plan)
 		if err != nil {
 			return nil, err
 		}
@@ -344,8 +373,13 @@ func (db *DB) evalFromFiltered(f FromItem, filters map[string][]expr.Expr) (*sou
 	return nil, fmt.Errorf("sql: unsupported FROM item %T", f)
 }
 
-// qualify copies rel with every column renamed to "alias.col".
-func qualify(rel *relation.Relation, alias string) *source {
+// qualify presents rel under alias, every column renamed to "alias.col".
+// The result shares rel's rows and column vectors (Relation.Renamed); the
+// typed columns ride along when worthwhile (typedCols). With refs non-nil
+// (pruning, see optimize.go) only the columns a referenced name can resolve
+// to are carried, as column vectors.
+func qualify(rel *relation.Relation, alias string, refs []string) *source {
+	cols := typedCols(rel)
 	schema := make(relation.Schema, len(rel.Schema))
 	for i, c := range rel.Schema {
 		name := c.Name
@@ -354,9 +388,20 @@ func qualify(rel *relation.Relation, alias string) *source {
 		}
 		schema[i] = relation.Column{Name: alias + "." + name, Kind: c.Kind}
 	}
-	out := relation.New(alias, schema)
-	out.Rows = rel.TupleRows() // rows are read-only downstream
-	return &source{rel: out, cols: typedCols(rel)}
+	out := rel.Renamed(alias, schema)
+	if refs == nil {
+		return &source{rel: out, cols: cols}
+	}
+	all := out.Columns()
+	var kept relation.Schema
+	var keptCols []*relation.Col
+	for i, c := range schema {
+		if referenced(c.Name, refs) {
+			kept = append(kept, c)
+			keptCols = append(keptCols, all[i])
+		}
+	}
+	return &source{rel: relation.FromColumns(alias, kept, keptCols, out.Len()), cols: keptCols}
 }
 
 // typedCols returns the relation's typed columns when the columnar path is
@@ -374,11 +419,11 @@ func typedCols(rel *relation.Relation) []*relation.Col {
 }
 
 // joinSources computes left ⋈ right: the equi-hash-join kernel when the ON
-// clause carries equality conjuncts, a scratch-row nested loop otherwise.
-// Either way matched rows land in one flat backing array; the full product
-// row set is never allocated. The ON predicate sees neither an enclosing
-// scope nor subqueries, so it is pure and the kernel's parallel candidate
-// probe is safe.
+// clause carries equality conjuncts, the theta pair scan otherwise. Either
+// way the result is column-built (relation's join kernels), so the source
+// it returns carries aligned typed columns. The ON predicate sees neither
+// an enclosing scope nor subqueries, so it is pure and the kernel's
+// parallel candidate probe is safe.
 func joinSources(left, right *source, on expr.Expr) (*source, error) {
 	schema := append(left.rel.Schema.Clone(), right.rel.Schema.Clone()...)
 	seen := map[string]bool{}
@@ -389,45 +434,35 @@ func joinSources(left, right *source, on expr.Expr) (*source, error) {
 		}
 		seen[k] = true
 	}
-	out := relation.New(left.rel.Name+"_"+right.rel.Name, schema)
-	probe := &source{rel: out}
-	onFn := func(relation.Tuple) (bool, error) { return true, nil }
+	// Source names never collide (checked above), so the kernels' product
+	// layout is exactly this concatenated schema.
+	probe := &source{rel: relation.New(left.rel.Name+"_"+right.rel.Name, schema)}
+	var onFn func(relation.Tuple) (bool, error)
 	if on != nil {
-		prog := expr.Compile(on, expr.Scope{Resolve: srcResolver(probe), Subquery: noSubqueries})
-		onFn = func(row relation.Tuple) (bool, error) { return prog.EvalBool(row) }
+		onFn = compileOn(on, probe)
 	}
+	var j *relation.Relation
+	var err error
+	if lk, rk, isKey := hashKeys(left, right, probe, on); len(lk) > 0 {
+		var rest func(relation.Tuple) (bool, error)
+		if re := expr.DropConjuncts(on, isKey); re != nil {
+			rest = compileOn(re, probe)
+		}
+		j, err = left.rel.HashJoin(right.rel, lk, rk, onFn, rest)
+	} else {
+		j, err = left.rel.Join(right.rel, onFn)
+	}
+	if err != nil {
+		return nil, err
+	}
+	j.Name = probe.rel.Name
+	return &source{rel: j, cols: j.Columns()}, nil
+}
 
-	// Try to extract an equality conjunct usable as a hash-join key. Source
-	// names never collide (checked above), so the kernel's product layout is
-	// exactly this concatenated schema and its rows drop straight in.
-	if lk, rk := hashKeys(left, right, on); len(lk) > 0 {
-		j, err := left.rel.HashJoin(right.rel, lk, rk, onFn)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = j.TupleRows()
-		return probe, nil
-	}
-	wl := len(left.rel.Schema)
-	scratch := make(relation.Tuple, len(schema))
-	var pa, pb []int32
-	rrows := right.rel.TupleRows()
-	for a, lt := range left.rel.TupleRows() {
-		copy(scratch, lt)
-		for b, rt := range rrows {
-			copy(scratch[wl:], rt)
-			ok, err := onFn(scratch)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				pa = append(pa, int32(a))
-				pb = append(pb, int32(b))
-			}
-		}
-	}
-	relation.MaterializePairs(out, left.rel, right.rel, pa, pb)
-	return probe, nil
+// compileOn compiles a join predicate over the joined layout.
+func compileOn(on expr.Expr, joined *source) func(relation.Tuple) (bool, error) {
+	prog := expr.Compile(on, expr.Scope{Resolve: srcResolver(joined), Subquery: noSubqueries})
+	return func(row relation.Tuple) (bool, error) { return prog.EvalBool(row) }
 }
 
 // noSubqueries is the subquery hook of contexts that support none.
@@ -438,62 +473,62 @@ func noSubqueries(*expr.Subquery, []value.Value) (*relation.Relation, error) {
 var errNoSubqueries = errors.New("sql: subqueries are not supported in this context")
 
 // hashKeys extracts column-index pairs for top-level AND-ed equality
-// conjuncts of the form leftCol = rightCol.
-func hashKeys(left, right *source, on expr.Expr) (lk, rk []int) {
-	var conjuncts func(e expr.Expr)
-	var pairs [][2]int
-	conjuncts = func(e expr.Expr) {
-		b, ok := e.(*expr.Binary)
-		if !ok {
-			return
+// conjuncts of the form leftCol = rightCol. isKey selects the conjuncts
+// that the joined layout resolves to exactly their pair, which the join
+// kernel may treat as proven by its hash; a bare name unique on one side
+// but ambiguous across both keys the hash yet stays in the predicate, so
+// it fails on the candidates just as the full predicate does.
+func hashKeys(left, right, joined *source, on expr.Expr) (lk, rk []int, isKey func(expr.Expr) bool) {
+	if on == nil {
+		return nil, nil, nil
+	}
+	wl := len(left.rel.Schema)
+	keys := map[expr.Expr]bool{}
+	at := func(name string) int {
+		i, err := joined.resolve(name)
+		if err != nil {
+			return -1
 		}
-		if b.Op == expr.OpAnd {
-			conjuncts(b.L)
-			conjuncts(b.R)
-			return
-		}
-		if b.Op != expr.OpEq {
-			return
+		return i
+	}
+	for _, c := range conjuncts(on) {
+		b, ok := c.(*expr.Binary)
+		if !ok || b.Op != expr.OpEq {
+			continue
 		}
 		lc, lok := b.L.(*expr.ColumnRef)
 		rc, rok := b.R.(*expr.ColumnRef)
 		if !lok || !rok {
-			return
+			continue
 		}
-		li, lerr := left.resolve(lc.Name)
-		ri, rerr := right.resolve(rc.Name)
-		if lerr == nil && rerr == nil {
-			pairs = append(pairs, [2]int{li, ri})
-			return
-		}
-		// Reversed orientation: right = left.
-		li, lerr = left.resolve(rc.Name)
-		ri, rerr = right.resolve(lc.Name)
-		if lerr == nil && rerr == nil {
-			pairs = append(pairs, [2]int{li, ri})
+		if li, ri, ok := sidePair(left, right, lc.Name, rc.Name); ok {
+			lk, rk = append(lk, li), append(rk, ri)
+			keys[c] = at(lc.Name) == li && at(rc.Name) == wl+ri
+		} else if li, ri, ok := sidePair(left, right, rc.Name, lc.Name); ok {
+			// Reversed orientation: right = left.
+			lk, rk = append(lk, li), append(rk, ri)
+			keys[c] = at(rc.Name) == li && at(lc.Name) == wl+ri
 		}
 	}
-	if on != nil {
-		conjuncts(on)
-	}
-	for _, p := range pairs {
-		lk = append(lk, p[0])
-		rk = append(rk, p[1])
-	}
-	return lk, rk
+	return lk, rk, func(e expr.Expr) bool { return keys[e] }
+}
+
+// sidePair resolves l against the left source and r against the right.
+func sidePair(left, right *source, l, r string) (li, ri int, ok bool) {
+	li, lerr := left.resolve(l)
+	ri, rerr := right.resolve(r)
+	return li, ri, lerr == nil && rerr == nil
 }
 
 // execOn runs the SELECT body against a materialised source, with outer as
 // the enclosing row scope of a correlated subquery (nil at top level).
 func execOn(db *DB, src *source, stmt *SelectStmt, outer *scope) (*relation.Relation, error) {
 	x := &stmtExec{db: db, outer: outer, subs: map[*expr.Subquery]*subState{}, seq: hasSubquery(stmt)}
-	// WHERE. rows starts as the full source row set, aligned with the
-	// source's typed columns; idx tracks the surviving base-row indexes so
-	// downstream batch programs keep reading the typed vectors through the
-	// indirection. aligned turns false once rows stop mapping to src.cols.
-	rows := src.rel.TupleRows()
-	var idx []int32
-	aligned := src.cols != nil
+	// WHERE. The row set starts as every source row; filtering keeps the
+	// surviving source-row positions, so downstream batch programs keep
+	// reading the source's typed vectors through the indirection, and boxed
+	// rows materialize only for the row programs that need them.
+	rs := allRows(src)
 	if stmt.Where != nil {
 		if expr.ContainsAggregate(stmt.Where) {
 			return nil, fmt.Errorf("sql: aggregates are not allowed in WHERE")
@@ -502,7 +537,7 @@ func execOn(db *DB, src *source, stmt *SelectStmt, outer *scope) (*relation.Rela
 			return nil, fmt.Errorf("sql: window functions are not allowed in WHERE")
 		}
 		var err error
-		if rows, idx, err = x.filterRows(src, stmt.Where, rows, aligned); err != nil {
+		if rs, err = x.filterRows(src, stmt.Where, rs); err != nil {
 			return nil, err
 		}
 	}
@@ -513,19 +548,18 @@ func execOn(db *DB, src *source, stmt *SelectStmt, outer *scope) (*relation.Rela
 			return nil, fmt.Errorf("sql: window functions cannot be combined with GROUP BY, HAVING or aggregates")
 		}
 		var werr error
-		src, rows, stmt, werr = x.applyWindows(src, stmt, rows, idx, aligned)
+		src, rs, stmt, werr = x.applyWindows(src, stmt, rs)
 		if werr != nil {
 			return nil, werr
 		}
-		idx, aligned = nil, false
 	}
 	var out *relation.Relation
 	var sortVals [][]value.Value
 	var err error
 	if grouped {
-		out, sortVals, err = x.execGrouped(src, stmt, rows, idx, aligned)
+		out, sortVals, err = x.execGrouped(src, stmt, rs)
 	} else {
-		out, sortVals, err = x.execPlain(src, stmt, rows, idx, aligned)
+		out, sortVals, err = x.execPlain(src, stmt, rs)
 	}
 	if err != nil {
 		return nil, err
@@ -565,9 +599,8 @@ func hasAggregates(stmt *SelectStmt) bool {
 }
 
 // execPlain projects without grouping. It returns the output relation plus,
-// for each row, the evaluated ORDER BY key values. idx, when aligned, holds
-// the surviving base-row indexes of rows for the typed-column fast path.
-func (x *stmtExec) execPlain(src *source, stmt *SelectStmt, rows []relation.Tuple, idx []int32, aligned bool) (*relation.Relation, [][]value.Value, error) {
+// for each row, the evaluated ORDER BY key values.
+func (x *stmtExec) execPlain(src *source, stmt *SelectStmt, rs *rowSet) (*relation.Relation, [][]value.Value, error) {
 	items, err := expandStars(src, stmt.Items)
 	if err != nil {
 		return nil, nil, err
@@ -577,21 +610,21 @@ func (x *stmtExec) execPlain(src *source, stmt *SelectStmt, rows []relation.Tupl
 		return nil, nil, err
 	}
 	execPlainCompiled.Inc()
-	return x.plainOutput(src, stmt, items, schema, rows, idx, aligned)
+	return x.plainOutput(src, stmt, items, schema, rs)
 }
 
-// execGrouped evaluates GROUP BY / aggregate queries. idx, when aligned,
-// holds the surviving base-row indexes of rows so column-reference aggregate
-// arguments can run the typed grouped-aggregation kernel over the source's
-// column payloads.
-func (x *stmtExec) execGrouped(src *source, stmt *SelectStmt, rows []relation.Tuple, idx []int32, aligned bool) (*relation.Relation, [][]value.Value, error) {
+// execGrouped evaluates GROUP BY / aggregate queries. When the source
+// carries typed columns, column-reference aggregate arguments run the typed
+// grouped-aggregation kernel over their payloads through the row set's
+// source positions.
+func (x *stmtExec) execGrouped(src *source, stmt *SelectStmt, rs *rowSet) (*relation.Relation, [][]value.Value, error) {
 	for _, it := range stmt.Items {
 		if it.Star {
 			return nil, nil, fmt.Errorf("sql: * is not allowed with GROUP BY or aggregates")
 		}
 	}
 	// Group rows by the GROUP BY expression values.
-	groups, gr, err := x.buildRowGroups(src, stmt, rows)
+	groups, gr, err := x.buildRowGroups(src, stmt, rs.tuples())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -659,7 +692,7 @@ func (x *stmtExec) execGrouped(src *source, stmt *SelectStmt, rows []relation.Tu
 		return nil, nil, err
 	}
 	execGroupedCompiled.Inc()
-	return x.groupOutput(src, groups, gr, aggs, items, having, orderBy, schema, idx, aligned, len(rows))
+	return x.groupOutput(src, groups, gr, aggs, items, having, orderBy, schema, rs)
 }
 
 // liftedAgg is one distinct aggregate call lifted out of the statement.

@@ -76,7 +76,7 @@ func liftWindows(items []SelectItem, orderBy []OrderItem) (wins []*expr.WindowCa
 // __win_N column per call) with the rewritten statement. Output column
 // names keep the original spelling: an unaliased window item is named by
 // its OVER-clause SQL.
-func (x *stmtExec) applyWindows(src *source, stmt *SelectStmt, rows []relation.Tuple, idx []int32, aligned bool) (*source, []relation.Tuple, *SelectStmt, error) {
+func (x *stmtExec) applyWindows(src *source, stmt *SelectStmt, rs *rowSet) (*source, *rowSet, *SelectStmt, error) {
 	// Expand * against the pre-window schema first so the placeholder
 	// columns never leak into a star expansion.
 	items, err := expandStars(src, stmt.Items)
@@ -102,7 +102,7 @@ func (x *stmtExec) applyWindows(src *source, stmt *SelectStmt, rows []relation.T
 		}
 		return src.rel.Schema[i].Kind, true
 	}
-	n := len(rows)
+	n := rs.n
 	winSchema := src.rel.Schema.Clone()
 	vecs := make([][]value.Value, len(wins))
 	for wi, w := range wins {
@@ -110,7 +110,7 @@ func (x *stmtExec) applyWindows(src *source, stmt *SelectStmt, rows []relation.T
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		vec, err := x.evalWindow(src, w, rows, idx, aligned)
+		vec, err := x.evalWindow(src, w, rs)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -121,7 +121,7 @@ func (x *stmtExec) applyWindows(src *source, stmt *SelectStmt, rows []relation.T
 	ext := relation.New(src.rel.Name, winSchema)
 	ext.Rows = make([]relation.Tuple, n)
 	w0 := len(src.rel.Schema)
-	for i, row := range rows {
+	for i, row := range rs.tuples() {
 		t := make(relation.Tuple, len(winSchema))
 		copy(t, row)
 		for wi := range wins {
@@ -133,7 +133,8 @@ func (x *stmtExec) applyWindows(src *source, stmt *SelectStmt, rows []relation.T
 	nstmt := *stmt
 	nstmt.Items = items
 	nstmt.OrderBy = orderBy
-	return &source{rel: ext}, ext.Rows, &nstmt, nil
+	extSrc := &source{rel: ext}
+	return extSrc, allRows(extSrc), &nstmt, nil
 }
 
 // evalWindow computes one window call's value per row. Partition keys, order
@@ -141,19 +142,20 @@ func (x *stmtExec) applyWindows(src *source, stmt *SelectStmt, rows []relation.T
 // typed columns and each input compiles to a batch program, the inputs fill
 // vectorized (counted by expr.batch.window), otherwise row by row through
 // the row program.
-func (x *stmtExec) evalWindow(src *source, w *expr.WindowCall, rows []relation.Tuple, idx []int32, aligned bool) ([]value.Value, error) {
-	n := len(rows)
+func (x *stmtExec) evalWindow(src *source, w *expr.WindowCall, rs *rowSet) ([]value.Value, error) {
+	n := rs.n
+	aligned := src.cols != nil
 	evalVec := func(e expr.Expr) ([]value.Value, bool, error) {
 		out := make([]value.Value, n)
 		if aligned && n > 0 {
 			if bp, cerr := expr.CompileBatch(e, src.batchResolve); cerr == nil {
-				if bp.EvalPos(idx, 0, n, value.KindNull, out) {
+				if bp.EvalPos(rs.idx, 0, n, value.KindNull, out) {
 					return out, true, nil
 				}
 			}
 		}
 		prog := x.compile(e, srcResolver(src))
-		for i, row := range rows {
+		for i, row := range rs.tuples() {
 			v, err := prog.Eval(row)
 			if err != nil {
 				return nil, false, err
