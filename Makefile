@@ -12,14 +12,16 @@ build:
 # races with the parallel threshold forced low, so the chunk fan-out in every
 # evaluation stage fires even on the small test relations; internal/sql and
 # internal/expr join that run so compiled statements with and without
-# subqueries (the latter chunked, the former sequential) race too. That
+# subqueries (the latter chunked, the former sequential) race too, and
+# internal/engine and internal/server join it so rendering pages off
+# chunk-built results (relation.Page over a deferred gather) races. That
 # run passes -count=1: the threshold is read in package init, before the
 # test cache starts recording environment variables, so a cached result of
 # the line above would otherwise stand in for it.
 test: lint
 	$(GO) test ./...
 	$(GO) test -race ./internal/obs ./internal/server ./internal/relation ./internal/core ./internal/sql ./internal/wal ./internal/engine ./internal/sqlgen ./internal/graph
-	SHEETMUSIQ_PARALLEL_THRESHOLD=4 $(GO) test -count=1 -race ./internal/core ./internal/relation ./internal/sql ./internal/expr
+	SHEETMUSIQ_PARALLEL_THRESHOLD=4 $(GO) test -count=1 -race ./internal/core ./internal/relation ./internal/sql ./internal/expr ./internal/engine ./internal/server
 
 race:
 	$(GO) test -race ./...

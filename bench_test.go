@@ -17,6 +17,7 @@ import (
 
 	"sheetmusiq/internal/core"
 	"sheetmusiq/internal/dataset"
+	"sheetmusiq/internal/engine"
 	"sheetmusiq/internal/relation"
 	"sheetmusiq/internal/server"
 	"sheetmusiq/internal/sql"
@@ -457,6 +458,39 @@ func BenchmarkEvalColdVsWarm100k(b *testing.B) {
 			evaluate(b, s)
 		}
 	})
+}
+
+// BenchmarkRenderPage100k prices a client's refresh after one gesture on a
+// 100k-row sheet with a formula column: flip the finest ordering, then
+// render the first page and the group tree, as GET /render?limit=50 does.
+// Both orderings' stages are cached after the first two iterations, so the
+// time is final assembly plus rendering, not the sort.
+func BenchmarkRenderPage100k(b *testing.B) {
+	e := engine.New(nil)
+	e.DB().Register(dataset.RandomCars(100000, 42))
+	apply := func(op engine.Op) {
+		if _, err := e.Apply(op); err != nil {
+			b.Fatal(err)
+		}
+	}
+	apply(engine.Op{Op: "use", Table: "cars"})
+	apply(engine.Op{Op: "formula", Name: "PerMile", Formula: "Price * 1000 / (Mileage + 1)"})
+	dirs := []string{"desc", "asc"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		apply(engine.Op{Op: "sort", Column: "Price", Dir: dirs[i%2]})
+		g, err := e.Grid(50)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(g.Rows) != 50 || g.Total != 100000 {
+			b.Fatalf("grid shows %d of %d rows", len(g.Rows), g.Total)
+		}
+		if _, err := e.Tree(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkInvalidationPrecision100k prices the tentpole of graph-exact

@@ -162,9 +162,9 @@ func (s *Spreadsheet) evaluate() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The table may be column-built with lazy rows; row consumers
-	// (rendering, paging, export) materialise tuples via TupleRows on
-	// first use.
+	// The table may be a deferred gather with lazy rows: rendering boxes
+	// one Page of it, whole-table consumers (export) materialise tuples
+	// via TupleRows on first use.
 	table := relation.MaterializeView(view, visPos, s.name, visible)
 	root, err := ev.buildGroups(view)
 	if err != nil {

@@ -137,15 +137,19 @@ func (e *Engine) Grid(limit int) (*Grid, error) {
 	g := &Grid{
 		Sheet:   e.SheetName(),
 		Columns: res.Table.Schema.Names(),
-		Rows:    make([][]string, 0, n),
+		Rows:    make([][]string, n),
 		Total:   res.Table.Len(),
 	}
-	for _, row := range res.Table.TupleRows()[:n] {
-		cells := make([]string, len(row))
-		for i, v := range row {
-			cells[i] = v.String()
+	// Only the rendered page is boxed: a column-built result keeps its
+	// other rows in their typed vectors.
+	w := len(g.Columns)
+	cells := make([]string, n*w)
+	for i, row := range res.Table.Page(0, n) {
+		out := cells[i*w : (i+1)*w : (i+1)*w]
+		for j, v := range row {
+			out[j] = v.String()
 		}
-		g.Rows = append(g.Rows, cells)
+		g.Rows[i] = out
 	}
 	return g, nil
 }
@@ -154,36 +158,51 @@ func (e *Engine) Grid(limit int) (*Grid, error) {
 // level 1 (grouping by {NULL}); Start/End delimit the node's rows in the
 // grid ([Start, End)).
 type TreeNode struct {
-	Level    int         `json:"level"`
-	Basis    []string    `json:"basis,omitempty"` // the level's relative basis attributes
-	Key      []string    `json:"key,omitempty"`   // this group's basis values
-	Rows     int         `json:"rows"`
-	Start    int         `json:"start"`
-	End      int         `json:"end"`
-	Children []*TreeNode `json:"children,omitempty"`
+	Level    int        `json:"level"`
+	Basis    []string   `json:"basis,omitempty"` // the level's relative basis attributes
+	Key      []string   `json:"key,omitempty"`   // this group's basis values
+	Rows     int        `json:"rows"`
+	Start    int        `json:"start"`
+	End      int        `json:"end"`
+	Children []TreeNode `json:"children,omitempty"`
 }
 
-// Tree evaluates the sheet and returns its recursive group tree.
+// Tree evaluates the sheet and returns its recursive group tree. Nodes of
+// one level share that level's basis slice, and each parent's children and
+// their key texts live in one slab apiece, so a sheet with a group per row
+// costs a few allocations per parent rather than several per node.
 func (e *Engine) Tree() (*TreeNode, error) {
 	res, err := e.Evaluate()
 	if err != nil {
 		return nil, err
 	}
-	var walk func(g *core.Group) *TreeNode
-	walk = func(g *core.Group) *TreeNode {
-		n := &TreeNode{Level: g.Level, Rows: g.Rows(), Start: g.Start, End: g.End}
-		if g.Level > 1 {
-			n.Basis = append([]string(nil), res.Levels[g.Level-2].Rel...)
-			for _, v := range g.Key {
-				n.Key = append(n.Key, v.String())
-			}
-		}
-		for _, c := range g.Children {
-			n.Children = append(n.Children, walk(c))
-		}
-		return n
+	basis := make([][]string, len(res.Levels))
+	for i, l := range res.Levels {
+		basis[i] = append([]string(nil), l.Rel...)
 	}
-	return walk(res.Root), nil
+	var fill func(n *TreeNode, g *core.Group)
+	fill = func(n *TreeNode, g *core.Group) {
+		if len(g.Children) == 0 {
+			return
+		}
+		n.Children = make([]TreeNode, len(g.Children))
+		k := len(g.Children[0].Key)
+		keys := make([]string, len(g.Children)*k)
+		for i, c := range g.Children {
+			child := &n.Children[i]
+			*child = TreeNode{Level: c.Level, Basis: basis[c.Level-2], Rows: c.Rows(), Start: c.Start, End: c.End}
+			if k > 0 {
+				child.Key = keys[i*k : (i+1)*k : (i+1)*k]
+				for j, v := range c.Key {
+					child.Key[j] = v.String()
+				}
+			}
+			fill(child, c)
+		}
+	}
+	root := &TreeNode{Level: res.Root.Level, Rows: res.Root.Rows(), Start: res.Root.Start, End: res.Root.End}
+	fill(root, res.Root)
+	return root, nil
 }
 
 // MenuInfo is the contextual menu of Sec. VI for one column.

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 
@@ -14,9 +15,10 @@ import (
 // Row-built relations columnarize lazily (and cache the result) the first
 // time a vectorized kernel asks; column-built relations (FromColumns)
 // materialize tuple rows lazily the first time a row consumer asks. Both
-// conversions happen at most once per relation and are counted by
-// relation.column.materialize (the row→column direction, the one that walks
-// every boxed cell).
+// conversions happen at most once per relation. relation.column.materialize
+// counts the row→column conversions (each walks every boxed cell);
+// relation.rows.materialize counts the cells boxed in the other direction,
+// by TupleRows and by Page.
 //
 // Layout: Int, Bool and Date columns share the Ints payload array (Bool as
 // 0/1, Date as days since epoch — exactly the value.Value payload), Float
@@ -26,7 +28,10 @@ import (
 // dynamically typed. NULLs are a per-column bitmap; payload slots of NULL
 // cells are zero and must not be read.
 
-var columnMaterialize = obs.Default.Counter("relation.column.materialize")
+var (
+	columnMaterialize = obs.Default.Counter("relation.column.materialize")
+	rowsMaterialize   = obs.Default.Counter("relation.rows.materialize")
+)
 
 // ColumnarThreshold is autoColumnarThreshold for consumers outside the
 // package (the SQL executor applies the same worthwhileness rule).
@@ -355,18 +360,21 @@ func (c *Col) MemBytes() int64 {
 func BoxedCol(vals []value.Value) *Col { return &Col{Boxed: vals} }
 
 // colState is the Relation's lazily attached columnar cache. colBuilt marks
-// relations constructed from columns (FromColumns): their columns are the
-// source of truth and Rows materializes lazily; for row-built relations the
-// inverse holds. Both flags and conversions are guarded by mu; colBuilt and
-// nrows are written once at construction and safe to read unlocked.
+// relations constructed from columns (FromColumns, FromGather): their
+// columns are the source of truth and Rows materializes lazily; for
+// row-built relations the inverse holds. A colBuilt relation whose cols are
+// not ready is a deferred gather: column j is src[j] at rows idx. Both
+// flags and conversions are guarded by mu; colBuilt and nrows are written
+// once at construction and safe to read unlocked.
 type colState struct {
 	mu        sync.Mutex
 	colBuilt  bool // constructed columnar; Rows is derived
 	nrows     int  // row count for colBuilt relations
 	cols      []*Col
-	colsReady bool          // cols valid
-	rowsReady bool          // Rows valid for a colBuilt relation
-	fill      func() []*Col // deferred column assembly (FromColumnsLazy)
+	colsReady bool    // cols valid
+	rowsReady bool    // Rows valid for a colBuilt relation
+	src       []*Col  // deferred gather sources (FromGather)
+	idx       []int32 // deferred gather row indexes (FromGather)
 	ix        *NameIndex
 }
 
@@ -394,14 +402,16 @@ func FromColumns(name string, schema Schema, cols []*Col, n int) *Relation {
 	return r
 }
 
-// FromColumnsLazy constructs a column-built relation whose column vectors
-// assemble on first access — fill runs at most once, the first time a
-// consumer asks for Columns or TupleRows. The evaluation pipeline uses it
-// for final assembly (late materialisation): a replay whose result is never
-// read — or only paged — does not pay a full n×w gather up front.
-func FromColumnsLazy(name string, schema Schema, n int, fill func() []*Col) *Relation {
+// FromGather constructs the column-built relation whose column j is
+// src[j].Gather(idx), deferring the gather until a consumer asks for
+// Columns; TupleRows and Page read the sources through idx without it.
+// The evaluation pipeline uses it for final assembly (late
+// materialisation): a replay whose result is never read — or only paged —
+// does not pay a full n×w gather up front. src and idx must stay unchanged
+// for the relation's lifetime.
+func FromGather(name string, schema Schema, src []*Col, idx []int32) *Relation {
 	r := &Relation{Name: name, Schema: schema}
-	r.col = &colState{colBuilt: true, nrows: n, fill: fill}
+	r.col = &colState{colBuilt: true, nrows: len(idx), src: src, idx: idx}
 	return r
 }
 
@@ -453,21 +463,30 @@ func (r *Relation) Gather(idx []int32) *Relation {
 	return &Relation{Name: r.Name, Schema: r.Schema, Rows: rows}
 }
 
-// ensureColsLocked makes c.cols valid; the caller holds c.mu. Deferred
-// assembly (fill) runs here for lazily built relations; row-built relations
+// ensureColsLocked makes c.cols valid; the caller holds c.mu. The deferred
+// gather runs here for FromGather relations; row-built relations
 // columnarize from r.Rows.
 func (r *Relation) ensureColsLocked(c *colState) {
 	if c.colsReady {
 		return
 	}
-	if c.fill != nil {
-		c.cols = c.fill()
-		c.fill = nil
+	if c.colBuilt {
+		c.cols = gatherCols(c.src, c.idx)
+		c.src, c.idx = nil, nil
 	} else {
 		c.cols = columnarize(r.Rows, r.Schema)
 		columnMaterialize.Inc()
 	}
 	c.colsReady = true
+}
+
+// gatherCols gathers rows idx of every source column.
+func gatherCols(src []*Col, idx []int32) []*Col {
+	out := make([]*Col, len(src))
+	for j, c := range src {
+		out[j] = c.Gather(idx)
+	}
+	return out
 }
 
 // Columns returns the relation's typed column vectors, building and caching
@@ -498,9 +517,10 @@ func (r *Relation) CachedColumns() []*Col {
 }
 
 // TupleRows returns the relation's rows, materializing them from the column
-// vectors on first call for column-built relations. Row-built relations
-// return Rows directly. All relation operators read rows through this
-// accessor so columnar relations flow through the whole API unchanged.
+// vectors on first call for column-built relations (a deferred gather boxes
+// straight from its sources and stays deferred). Row-built relations return
+// Rows directly. All relation operators read rows through this accessor so
+// columnar relations flow through the whole API unchanged.
 func (r *Relation) TupleRows() []Tuple {
 	if r.col == nil || !r.col.colBuilt {
 		return r.Rows
@@ -509,21 +529,57 @@ func (r *Relation) TupleRows() []Tuple {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.rowsReady {
-		r.ensureColsLocked(c)
-		n, w := c.nrows, len(r.Schema)
-		flat := make([]value.Value, n*w)
-		rows := make([]Tuple, n)
-		for i := 0; i < n; i++ {
-			row := flat[i*w : (i+1)*w : (i+1)*w]
-			for ci, col := range c.cols {
-				row[ci] = col.Value(i)
-			}
-			rows[i] = row
-		}
-		r.Rows = rows
+		r.Rows = r.boxLocked(c, 0, c.nrows)
 		c.rowsReady = true
 	}
 	return r.Rows
+}
+
+// Page returns rows [lo, hi) of the relation — exactly TupleRows()[lo:hi] —
+// boxing only those rows: a renderer showing one screen of a large result
+// pays for the screen, not the table. Rows already materialized are shared;
+// otherwise the page boxes from the column vectors, or for a deferred
+// gather from its sources through idx[lo:hi]. The relation's cached
+// representation is left as it was.
+func (r *Relation) Page(lo, hi int) []Tuple {
+	if r.col == nil || !r.col.colBuilt {
+		return r.Rows[lo:hi]
+	}
+	c := r.col
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.rowsReady {
+		return r.Rows[lo:hi]
+	}
+	if lo < 0 || hi < lo || hi > c.nrows {
+		panic(fmt.Sprintf("relation %s: page [%d:%d] out of range with length %d", r.Name, lo, hi, c.nrows))
+	}
+	return r.boxLocked(c, lo, hi)
+}
+
+// boxLocked boxes rows [lo, hi) of a column-built relation into tuples over
+// one flat backing array; the caller holds c.mu.
+func (r *Relation) boxLocked(c *colState, lo, hi int) []Tuple {
+	cols, idx := c.cols, []int32(nil)
+	if !c.colsReady {
+		cols, idx = c.src, c.idx
+	}
+	n, w := hi-lo, len(r.Schema)
+	flat := make([]value.Value, n*w)
+	rows := make([]Tuple, n)
+	for i := range rows {
+		ri := lo + i
+		if idx != nil {
+			ri = int(idx[ri])
+		}
+		row := flat[i*w : (i+1)*w : (i+1)*w]
+		for j, col := range cols {
+			row[j] = col.Value(ri)
+		}
+		rows[i] = row
+	}
+	rowsMaterialize.Add(int64(n * w))
+	return rows
 }
 
 // invalidateColumns drops the columnar cache after a row mutation (Append,
@@ -539,7 +595,7 @@ func (r *Relation) invalidateColumns() {
 	c.cols = nil
 	c.colsReady = false
 	c.rowsReady = false
-	c.fill = nil
+	c.src, c.idx = nil, nil
 	c.ix = nil
 	c.mu.Unlock()
 }

@@ -169,11 +169,17 @@ func (r *Relation) Len() int {
 }
 
 // Clone deep-copies the relation. Column-built relations clone their column
-// vectors (rows stay lazy); row-built relations deep-copy the rows.
+// vectors (rows stay lazy; a deferred gather runs into the copy, leaving r
+// deferred); row-built relations deep-copy the rows.
 func (r *Relation) Clone() *Relation {
 	if r.col != nil && r.col.colBuilt {
 		c := r.col
 		c.mu.Lock()
+		if !c.colsReady {
+			cols, n := gatherCols(c.src, c.idx), c.nrows
+			c.mu.Unlock()
+			return FromColumns(r.Name, r.Schema.Clone(), cols, n)
+		}
 		cols := make([]*Col, len(c.cols))
 		for i, src := range c.cols {
 			cc := &Col{Kind: src.Kind}

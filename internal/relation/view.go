@@ -330,17 +330,10 @@ func MaterializeView(v *IndexView, cols []int, name string, schema Schema) *Rela
 		}
 		// Late materialisation: the gather is the one full copy assembly
 		// would make, and most replays never read the assembled table (group
-		// building and re-evaluation read the view; rendering pages). Defer
-		// it to first access — the view's index and column vectors are
-		// immutable snapshots, so the closure stays valid.
-		idx := v.Idx
-		return FromColumnsLazy(name, schema, n, func() []*Col {
-			out := make([]*Col, len(src))
-			for j, c := range src {
-				out[j] = c.Gather(idx)
-			}
-			return out
-		})
+		// building and re-evaluation read the view; rendering reads one
+		// Page). Defer it to first access — the view's index and column
+		// vectors are immutable snapshots, so they stay valid.
+		return FromGather(name, schema, src, v.Idx)
 	}
 	flat := make([]value.Value, n*w)
 	rows := make([]Tuple, n)

@@ -8,8 +8,10 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"sheetmusiq/internal/dataset"
 	"sheetmusiq/internal/engine"
 	"sheetmusiq/internal/obs"
+	"sheetmusiq/internal/sql"
 )
 
 // fetchMetrics pulls GET /v1/metrics into an obs.Snapshot.
@@ -302,5 +304,43 @@ func TestPprofMounting(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pprof on: status = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestRenderLimitBoxesOnlyThePage: GET /render?limit=50 on a 100k-row
+// column-built result boxes at most the page's cells — the
+// relation.rows.materialize counter moves by no more than 50×width —
+// where boxing the whole table would move it by 100k×width. Both the
+// shared-column result (a formula column over the base order) and the
+// deferred gather a sort produces are checked.
+func TestRenderLimitBoxesOnlyThePage(t *testing.T) {
+	cars := dataset.RandomCars(100_000, 3)
+	_, c := newTestServer(t, Config{Seed: func(db *sql.DB) error {
+		db.Register(cars)
+		return nil
+	}})
+	id := c.create("page")
+	c.op(id, engine.Op{Op: "use", Table: "cars"})
+	c.op(id, engine.Op{Op: "formula", Name: "PerMile", Formula: "Price * 1000 / (Mileage + 1)"})
+	for _, sorted := range []bool{false, true} {
+		if sorted {
+			c.op(id, engine.Op{Op: "sort", Column: "Price", Dir: "desc"})
+		}
+		before := fetchMetrics(t, c)
+		var got renderResponse
+		if code := c.do("GET", "/v1/sessions/"+id+"/render?limit=50", nil, &got); code != http.StatusOK {
+			t.Fatalf("render: status %d", code)
+		}
+		after := fetchMetrics(t, c)
+		if got.Total != 100_000 || len(got.Rows) != 50 {
+			t.Fatalf("render shows %d of %d rows", len(got.Rows), got.Total)
+		}
+		if _, ok := after.Counters["relation.rows.materialize"]; !ok {
+			t.Fatal("/v1/metrics lacks relation.rows.materialize")
+		}
+		w := int64(len(got.Columns))
+		if d := after.Counters["relation.rows.materialize"] - before.Counters["relation.rows.materialize"]; d > 50*w {
+			t.Errorf("sorted=%v: relation.rows.materialize moved by %d cells, want <= %d", sorted, d, 50*w)
+		}
 	}
 }
